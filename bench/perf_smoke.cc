@@ -48,9 +48,10 @@
  * against bench/BENCH_perf_baseline.json to assert the fault-
  * injection layer is free when no plan is installed: these runs
  * configure no --fault-spec, so every fault hook must collapse to one
- * relaxed pointer load. The same floor now also polices the profiler
- * hooks: baseline runs set no --profile, so a dormant PhaseScope that
- * stopped being a single relaxed load would show up here.
+ * relaxed pointer load. The same floor now also polices the recorder
+ * hooks: baseline runs set no --profile or --trace-out, so a dormant
+ * obs::Scope that stopped being a single relaxed load would show up
+ * here.
  *
  * With --profile each run additionally records the host-time phase
  * attribution of its best repetition, prints the breakdown, and emits

@@ -7,7 +7,7 @@
  *                        chrome://tracing or https://ui.perfetto.dev)
  *   --metrics-out=m.csv  per-epoch metrics time series (plot the
  *                        slack_bound column to watch the controller)
- *   --report-out=r.json  unified slacksim.run_report.v4 document
+ *   --report-out=r.json  unified slacksim.run_report.v5 document
  *                        (config + results + violation forensics +
  *                        adaptive decision log + fault/degradation
  *                        record)

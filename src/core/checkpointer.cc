@@ -10,8 +10,7 @@
 
 #include "fault/fault_plan.hh"
 #include "obs/forensics.hh"
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/checksum.hh"
 #include "util/logging.hh"
 
@@ -151,12 +150,6 @@ Checkpointer::Event
 Checkpointer::takeCheckpoint(Tick now)
 {
     SLACKSIM_ASSERT(enabled(), "takeCheckpoint with checkpointing off");
-    // Fork-technology note: a fork child resuming from rollback never
-    // returns through this scope's destructor in the parent image;
-    // the child's slot simply shows the scope as still open, and
-    // endSession() closes it at collection time.
-    obs::PhaseScope checkpoint(obs::Phase::Checkpoint);
-
     mgr_.closeInterval();
 
     // End a completed replay window *before* capturing the state so
@@ -178,7 +171,13 @@ Checkpointer::takeCheckpoint(Tick now)
         }
     }
 
-    const std::uint64_t ckpt_wall = obs::traceWallNs();
+    // The checkpoint span opens after a replay window closed and
+    // closes before the next one opens: both ride the manager's track.
+    // Fork-technology note: a fork child resuming from rollback never
+    // returns through this scope in the parent image; the child's slot
+    // simply shows the scope as still open, and Recorder::end() closes
+    // it at collection time.
+    obs::Scope checkpoint(obs::Phase::Checkpoint);
     auto *plan = fault::FaultPlan::active();
     Event event = Event::Taken;
     if (fork_) {
@@ -281,9 +280,10 @@ Checkpointer::takeCheckpoint(Tick now)
         }
     }
 
-    obs::traceSpanAt(ckpt_wall, obs::TraceCategory::Checkpoint,
-                     "checkpoint", now, now,
-                     static_cast<std::int64_t>(host_->checkpointBytes));
+    checkpoint.commit(obs::TraceCategory::Checkpoint, "checkpoint", now,
+                      now,
+                      static_cast<std::int64_t>(host_->checkpointBytes));
+    checkpoint.close();
 
     lastCheckpointAt_ = now;
     nextCheckpointAt_ = now + engine_.checkpoint.interval;
@@ -354,7 +354,7 @@ Checkpointer::rollback(Tick current_global)
     // freshest generation is eligible for this restore.
     waitAsync();
     SLACKSIM_ASSERT(haveCheckpoint_, "rollback without a checkpoint");
-    obs::PhaseScope rollback(obs::Phase::RollbackReplay);
+    obs::Scope rollback(obs::Phase::RollbackReplay);
 
     if (fork_) {
         fork_->addWastedCycles(current_global >= lastCheckpointAt_
@@ -370,7 +370,6 @@ Checkpointer::rollback(Tick current_global)
                       "violation-rollback", current_global,
                       static_cast<std::int64_t>(current_global -
                                                 lastCheckpointAt_));
-    const std::uint64_t rb_wall = obs::traceWallNs();
     const std::uint64_t rb_t0 = nowNs();
 
     mgr_.abortInterval();
@@ -419,8 +418,8 @@ Checkpointer::rollback(Tick current_global)
         lastCheckpointAt_ = g.takenAt;
         nextCheckpointAt_ = g.takenAt + engine_.checkpoint.interval;
 
-        obs::traceSpanAt(rb_wall, obs::TraceCategory::Checkpoint,
-                         "rollback", current_global, g.takenAt);
+        rollback.commit(obs::TraceCategory::Checkpoint, "rollback",
+                        current_global, g.takenAt);
         if (decisionLog_) {
             obs::EpisodeRecord ep;
             ep.kind = obs::EpisodeKind::Rollback;
@@ -438,6 +437,8 @@ Checkpointer::rollback(Tick current_global)
         sys_.uncore().setViolationCounting(false);
         replayStartNs_ = nowNs();
         mgr_.beginInterval(g.takenAt);
+        // The replay window opens once the rollback span has closed.
+        rollback.close();
         obs::traceBegin(obs::TraceCategory::Checkpoint, "replay",
                         g.takenAt);
         return {fell_back ? RollbackResult::Status::FellBack

@@ -218,7 +218,7 @@ class Checkpointer
     /** Async-seal machinery. The seal thread is spawned lazily on
      *  the first async checkpoint and lives for the Checkpointer's
      *  lifetime. It is deliberately *not* registered with the
-     *  profiler/tracer: its busy time is off the simulation's
+     *  obs recorder: its busy time is off the simulation's
      *  critical path and is reported via checkpointAsyncSeconds. */
     ThreadSpawnRunner sealRunner_;
     std::unique_ptr<TaskRunner::Handle> sealThread_;

@@ -7,7 +7,7 @@
 
 #include <algorithm>
 
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 namespace slacksim {
@@ -105,7 +105,7 @@ ManagerLogic::serviceSorted(Tick safe_time)
     // so the flamegraph separates merge/service work ("drain;
     // simulate") from raw queue pumping. Per call, not per event —
     // one TSC pair amortized over the whole safe-time batch.
-    obs::PhaseScope simulate(obs::Phase::Simulate);
+    obs::Scope simulate(obs::Phase::Simulate);
     std::size_t serviced = 0;
     while (stagedCount_ != 0) {
         // Top-level tournament over the bank heads: each bank's tree

@@ -8,8 +8,7 @@
 #include <algorithm>
 
 #include "obs/forensics.hh"
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 namespace slacksim {
@@ -135,7 +134,7 @@ Pacer::observe(Tick global_time, const ViolationStats &violations)
         return;
     // Past the early-outs: this iteration actually evaluates an
     // epoch, which is the part worth attributing.
-    obs::PhaseScope epoch(obs::Phase::PacerEpoch);
+    obs::Scope epoch(obs::Phase::PacerEpoch);
     const auto &p = engine_.adaptive;
     nextEpoch_ = global_time + p.epochCycles;
 

@@ -13,8 +13,7 @@
 
 #include "fault/fault_plan.hh"
 #include "obs/obs_session.hh"
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/cancel.hh"
 #include "util/logging.hh"
 #include "util/run_token.hh"
@@ -199,9 +198,8 @@ ParallelEngine::runCoreBurst(CoreId c)
     bool backpressured = false;
     bool wait_inbound = false;
     Tick advanced = 0;
-    const std::uint64_t burst_wall = obs::traceWallNs();
     {
-        obs::PhaseScope simulate(obs::Phase::Simulate);
+        obs::Scope simulate(obs::Phase::Simulate);
         // Inline mode: the manager is the only writer of maxLocal and
         // phase/stop, and it cannot change them mid-burst — load once
         // and run the same tight loop the serial engine runs.
@@ -237,14 +235,14 @@ ParallelEngine::runCoreBurst(CoreId c)
             if (cc.finished())
                 break;
         }
+        if (advanced > 0) {
+            simulate.commit(obs::TraceCategory::Core, "core-run", local,
+                            cc.localTime(),
+                            static_cast<std::int64_t>(advanced));
+        }
     }
     ctl.committed.store(cc.committedUops(),
                         std::memory_order_release);
-    if (advanced > 0) {
-        obs::traceSpanAt(burst_wall, obs::TraceCategory::Core,
-                         "core-run", local, cc.localTime(),
-                         static_cast<std::int64_t>(advanced));
-    }
     if (inlineLean_) {
         // Single-thread run: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
@@ -253,7 +251,7 @@ ParallelEngine::runCoreBurst(CoreId c)
         // pump is skipped where the serial engine rescans. Nobody
         // sleeps on the board, so skip the bump too.
         if (advanced > 0 || backpressured) {
-            obs::PhaseScope push(obs::Phase::QueuePush);
+            obs::Scope push(obs::Phase::QueuePush);
             mgr_.pumpCore(c);
         }
     } else if (advanced > 0 || backpressured || wait_inbound) {
@@ -301,8 +299,7 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
 
     const std::string role = "worker " + std::to_string(w);
     setLogThreadContext(role, &sys_.core(wc.first).localClock());
-    obs::Tracer::instance().registerThread(role);
-    obs::Profiler::instance().registerThread(role);
+    obs::Recorder::instance().registerThread(role);
 
     while (!stop_.load(std::memory_order_acquire)) {
         if (phase_.load(std::memory_order_acquire) != phaseRunning) {
@@ -323,7 +320,7 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
             if (phase_.load(std::memory_order_acquire) !=
                     phaseRunning &&
                 !stop_.load(std::memory_order_acquire)) {
-                obs::PhaseScope barrier(obs::Phase::Barrier);
+                obs::Scope barrier(obs::Phase::Barrier);
                 resumeEpoch_.wait(e, std::memory_order_acquire);
             }
             continue;
@@ -360,8 +357,8 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
             // Backpressure wants the manager scheduled to drain our
             // OutQs; a freshly idle scan usually resolves within a
             // service round or two. Either way, yield beats a futex.
-            obs::PhaseScope wait(any_paced ? obs::Phase::WaitSlack
-                                           : obs::Phase::WaitInbound);
+            obs::Scope wait(any_paced ? obs::Phase::WaitSlack
+                                      : obs::Phase::WaitInbound);
             std::this_thread::yield();
             continue;
         }
@@ -398,32 +395,27 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
                                           : "park-inbound",
                                 park_cycle);
             }
-            const std::uint64_t park_wall = obs::traceWallNs();
             {
-                obs::PhaseScope wait(any_paced
-                                         ? obs::Phase::WaitSlack
-                                         : obs::Phase::WaitInbound);
+                obs::Scope wait(any_paced ? obs::Phase::WaitSlack
+                                          : obs::Phase::WaitInbound);
                 wc.wakeWord.wait(word, std::memory_order_acquire);
+                // Skip waits that returned at once — futex misses
+                // would otherwise flood the ring.
+                wait.commit(obs::TraceCategory::Core, "core-park",
+                            park_cycle, sys_.core(wc.first).localTime(),
+                            any_paced ? parkPaced : parkInbound,
+                            parkSpanMinNs);
             }
             ++wc.parks;
             if (watchdog_) {
                 watchdog_->note(wc.first, "resume",
                                 sys_.core(wc.first).localTime());
             }
-            // Retroactive span, skipping waits that returned at
-            // once — futex misses would otherwise flood the ring.
-            if (obs::traceWallNs() - park_wall >= parkSpanMinNs) {
-                obs::traceSpanAt(park_wall, obs::TraceCategory::Core,
-                                 "core-park", park_cycle,
-                                 sys_.core(wc.first).localTime(),
-                                 any_paced ? parkPaced : parkInbound);
-            }
         }
         wc.parked.store(false, std::memory_order_seq_cst);
     }
 
-    obs::Profiler::instance().unregisterThread();
-    obs::Tracer::instance().unregisterThread();
+    obs::Recorder::instance().unregisterThread();
     clearLogThreadContext();
 }
 
@@ -436,8 +428,7 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
     fault::ScopedFaultPlan plan_scope(sys_.faultPlan());
     const std::string role = "relay " + std::to_string(cluster);
     setLogThreadContext(role);
-    obs::Tracer::instance().registerThread(role);
-    obs::Profiler::instance().registerThread(role);
+    obs::Recorder::instance().registerThread(role);
     while (!stop_.load(std::memory_order_acquire)) {
         if (phase_.load(std::memory_order_acquire) != phaseRunning) {
             const std::uint32_t gen =
@@ -456,7 +447,7 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
             if (phase_.load(std::memory_order_acquire) !=
                     phaseRunning &&
                 !stop_.load(std::memory_order_acquire)) {
-                obs::PhaseScope barrier(obs::Phase::Barrier);
+                obs::Scope barrier(obs::Phase::Barrier);
                 resumeEpoch_.wait(e, std::memory_order_acquire);
             }
             continue;
@@ -466,7 +457,7 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
         bool moved = false;
         Tick watermark = maxTick;
         {
-        obs::PhaseScope pump(obs::Phase::QueuePush);
+        obs::Scope pump(obs::Phase::QueuePush);
         BusMsg buf[64];
         for (CoreId c = relay.first; c < relay.last; ++c) {
             // Read the clock *before* pumping: every event this core
@@ -517,7 +508,7 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
                 watchdog_->note(sys_.numCores() + cluster,
                                 "relay-idle", watermark);
             }
-            obs::PhaseScope wait(obs::Phase::WaitInbound);
+            obs::Scope wait(obs::Phase::WaitInbound);
             board_->sleep(p0, [this] {
                 return phase_.load(std::memory_order_acquire) ==
                            phaseRunning &&
@@ -525,8 +516,7 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
             });
         }
     }
-    obs::Profiler::instance().unregisterThread();
-    obs::Tracer::instance().unregisterThread();
+    obs::Recorder::instance().unregisterThread();
     clearLogThreadContext();
 }
 
@@ -615,7 +605,7 @@ ParallelEngine::pauseWorld()
 {
     // The manager side of the stop-the-world handshake: request,
     // wake, then wait for every ack.
-    obs::PhaseScope barrier(obs::Phase::Barrier);
+    obs::Scope barrier(obs::Phase::Barrier);
     pauseGen_.fetch_add(1, std::memory_order_seq_cst);
     phase_.store(phasePaused, std::memory_order_seq_cst);
     for (std::uint32_t w = 0; w < workerCount_; ++w)
@@ -790,8 +780,7 @@ ParallelEngine::run()
             // on the progress board with service suspended.
             ++activity;
         } else {
-            obs::PhaseScope drain(obs::Phase::Drain);
-            const std::uint64_t service_wall = obs::traceWallNs();
+            obs::Scope drain(obs::Phase::Drain);
             if (inlineLean_) {
                 // The bursts pumped their own OutQs already; a second
                 // all-core scan would find them empty.
@@ -816,10 +805,9 @@ ParallelEngine::run()
             activity += mgr_.serviceSorted(safe);
             mgr_.flushOverflow();
             if (activity > 0) {
-                obs::traceSpanAt(service_wall,
-                                 obs::TraceCategory::Manager,
-                                 "manager-service", global, safe,
-                                 static_cast<std::int64_t>(activity));
+                drain.commit(obs::TraceCategory::Manager,
+                             "manager-service", global, safe,
+                             static_cast<std::int64_t>(activity));
             }
             // Mark any core that just received a delivery for the
             // coalesced wake sweep: inert free-running cores sleep
@@ -960,7 +948,7 @@ ParallelEngine::run()
                 std::this_thread::yield();
                 continue;
             }
-            obs::PhaseScope wait(obs::Phase::WaitInbound);
+            obs::Scope wait(obs::Phase::WaitInbound);
             // The eligibility re-check (after sleeper registration)
             // closes the race with a cancel that fired its wakeAll
             // kick before we parked.

@@ -55,7 +55,7 @@ runSimulation(const SimConfig &run_config)
         config.engine.obs.traceId = obs::mintTraceId();
 
     // Mint this run's identity and bind it to the calling (manager)
-    // thread: token-aware registries (tracer, profiler) use it to
+    // thread: token-aware registries (the obs recorder) use it to
     // tell concurrent runs apart, and the engines replicate it onto
     // every worker thread via the SimSystem run binding below.
     const std::uint64_t token = newRunToken();

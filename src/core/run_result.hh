@@ -54,7 +54,7 @@ struct RunResult
 
     /** Violation attribution, decision log and obs overhead collected
      *  by the run's ObsSession (see obs/forensics.hh and the
-     *  slacksim.run_report.v4 document). */
+     *  slacksim.run_report.v5 document). */
     obs::ForensicsData forensics;
 
     /** Degradation-ladder outcome (see fault/recovery_policy.hh):

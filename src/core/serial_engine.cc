@@ -12,8 +12,7 @@
 
 #include "fault/fault_plan.hh"
 #include "obs/obs_session.hh"
-#include "obs/profiler.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/cancel.hh"
 #include "util/logging.hh"
 
@@ -135,9 +134,8 @@ SerialEngine::run()
             }
             Tick advanced = 0;
             const Tick local0 = cc.localTime();
-            const std::uint64_t burst_wall = obs::traceWallNs();
             {
-            obs::PhaseScope simulate(obs::Phase::Simulate);
+            obs::Scope simulate(obs::Phase::Simulate);
             while (cc.localTime() <= maxLocal_[c] &&
                    advanced < engine_.burstCycles) {
                 const Tick before = cc.localTime();
@@ -151,19 +149,19 @@ SerialEngine::run()
                 if (cc.finished())
                     break;
             }
-            }
-            progress |= advanced > 0;
             if (advanced > 0) {
                 // All cores share the one host thread's track; the
                 // core id rides in the span's arg.
-                obs::traceSpanAt(burst_wall, obs::TraceCategory::Core,
-                                 "core-run", local0, cc.localTime(),
-                                 static_cast<std::int64_t>(c));
+                simulate.commit(obs::TraceCategory::Core, "core-run",
+                                local0, cc.localTime(),
+                                static_cast<std::int64_t>(c));
             }
+            }
+            progress |= advanced > 0;
             // Arrival order in the serial engine is the deterministic
             // round-robin order of these pumps.
             {
-                obs::PhaseScope push(obs::Phase::QueuePush);
+                obs::Scope push(obs::Phase::QueuePush);
                 mgr_.pumpCore(c);
                 mgr_.flushOverflow();
             }
@@ -190,15 +188,13 @@ SerialEngine::run()
                     plan->markLastHandled("manager-resumed");
             }
         } else {
-            obs::PhaseScope drain(obs::Phase::Drain);
-            const std::uint64_t service_wall = obs::traceWallNs();
+            obs::Scope drain(obs::Phase::Drain);
             const std::size_t serviced = mgr_.serviceSorted(global);
             mgr_.flushOverflow();
             if (serviced > 0) {
-                obs::traceSpanAt(service_wall,
-                                 obs::TraceCategory::Manager,
-                                 "manager-service", global, global,
-                                 static_cast<std::int64_t>(serviced));
+                drain.commit(obs::TraceCategory::Manager,
+                             "manager-service", global, global,
+                             static_cast<std::int64_t>(serviced));
             }
         }
         pacer_.observe(global, sys_.violations());

@@ -11,7 +11,7 @@
 #include "core/manager_logic.hh"
 #include "core/pacer.hh"
 #include "obs/forensics.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 namespace slacksim {

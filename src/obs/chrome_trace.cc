@@ -106,9 +106,9 @@ writeChromeTrace(std::ostream &os,
               "\"sort_index\":"
            << t.tid << "}}";
 
-        // Records are per-thread FIFO, but retroactive span begins
-        // (traceSpanAt) carry wall stamps older than records pushed
-        // before them; a stable sort restores timeline order without
+        // Records are per-thread FIFO, but a committed scope pushes
+        // its B when it closes, stamped older than records pushed
+        // inside it; a stable sort restores timeline order without
         // disturbing same-timestamp emit order.
         std::vector<TraceRecord> recs = t.records;
         std::stable_sort(recs.begin(), recs.end(),

@@ -4,8 +4,9 @@
  * The output loads directly in chrome://tracing and ui.perfetto.dev:
  * one track per registered engine thread (named after its role), span
  * begin/end pairs as "B"/"E" events, instants as "i", counters as
- * "C". Timestamps are host wall time (microseconds since activation);
- * the simulated target cycle of every record rides along in args.
+ * "C". Timestamps are host wall time (microseconds since the run's
+ * clock anchor, obs/span.hh); the simulated target cycle of every
+ * record rides along in args.
  */
 
 #ifndef SLACKSIM_OBS_CHROME_TRACE_HH
@@ -16,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 
 namespace slacksim::obs {
 

@@ -12,7 +12,7 @@
 
 #include <unistd.h>
 
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 namespace slacksim {
@@ -199,14 +199,6 @@ StallWatchdog::renderDump(const char *reason,
         os << (flag ? "  * " : "    ") << w.name;
         if (w.clock)
             os << " clock=" << clock;
-        // With --profile on, say *what* the worker is doing right now
-        // (one relaxed byte read of its live phase), not just that its
-        // clock stopped. Watchdog-thread path only — the fatal-signal
-        // handler reuses the pre-rendered buffer and never gets here.
-        if (const char *phase =
-                Profiler::instance().currentPhaseOfRole(w.name)) {
-            os << " phase=" << phase;
-        }
         if (done)
             os << " [finished]";
         if (flag)
@@ -219,6 +211,12 @@ StallWatchdog::renderDump(const char *reason,
         }
         os << '\n';
     }
+    // Say *what* each host thread is doing right now (one relaxed
+    // byte read of its recorder slot), not just that a clock stopped.
+    // Watchdog-thread path only — the fatal-signal handler reuses the
+    // pre-rendered buffer and never gets here.
+    for (const auto &[role, phase] : Recorder::instance().livePhases())
+        os << "    thread " << role << " phase=" << phase << '\n';
     // probe_ is read under the lock in emitDump()'s caller context;
     // here take it defensively since dumpNow() can race setProgressProbe.
     std::function<std::string()> probe;

@@ -7,8 +7,10 @@
  * events (park, resume, finish, pause-ack, ...). A watchdog thread
  * polls every worker's local clock and ring head; when an eligible
  * worker makes no progress for the configured wall time the watchdog
- * dumps every worker's last clock, stall age and recent events plus an
- * engine-supplied progress probe (ProgressBoard sum/generation). The
+ * dumps every worker's last clock, stall age and recent events, the
+ * live phase of every host thread registered with the recorder
+ * (obs/recorder.hh), and an engine-supplied progress probe
+ * (ProgressBoard sum/generation). The
  * same dump is pre-rendered continuously so a fatal signal (SIGABRT
  * from a panic, SIGSEGV) can emit it with nothing but write(2).
  *

@@ -27,7 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 #include "obs/span.hh"
 #include "util/histogram.hh"
 #include "util/snapshot.hh"
@@ -275,7 +275,7 @@ class AdaptiveDecisionLog
 /** The obs layer's own overhead, surfaced instead of lost. */
 struct ObsSelfStats
 {
-    std::uint64_t traceRecords = 0;  //!< events kept by the tracer
+    std::uint64_t traceRecords = 0;  //!< events kept by the trace
     std::uint64_t traceDropped = 0;  //!< events lost to full rings
     std::uint64_t traceBytes = 0;    //!< Chrome-trace bytes written
     std::uint64_t metricsRows = 0;   //!< sampler rows captured

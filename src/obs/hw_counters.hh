@@ -21,7 +21,7 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 
 namespace slacksim::obs {
 

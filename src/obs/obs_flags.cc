@@ -5,11 +5,17 @@
 
 #include "obs/obs_flags.hh"
 
+#include <string>
+
+#include "obs/run_report.hh"
+
 namespace slacksim::obs {
 
 const std::vector<OptionSpec> &
 obsOptionSpecs()
 {
+    static const std::string report_help =
+        std::string("write the unified ") + runReportSchema + " JSON";
     static const std::vector<OptionSpec> specs = {
         {"trace-out", "FILE",
          "write a Chrome-trace/Perfetto JSON of the run"},
@@ -19,8 +25,7 @@ obsOptionSpecs()
          "per-thread trace ring size in KiB (default 1024)"},
         {"obs-epoch", "CYCLES",
          "metrics sampling period (default: adaptive epoch)"},
-        {"report-out", "FILE",
-         "write the unified slacksim.run_report.v4 JSON"},
+        {"report-out", "FILE", report_help.c_str()},
         {"watchdog-ms", "MS",
          "stall watchdog threshold in wall ms (0 = off)"},
         {"profile", "",

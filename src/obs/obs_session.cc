@@ -5,14 +5,16 @@
 
 #include "obs/obs_session.hh"
 
+#include <algorithm>
+#include <chrono>
+
 #include "core/checkpointer.hh"
 #include "core/manager_logic.hh"
 #include "core/pacer.hh"
 #include "core/sim_system.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/profiler.hh"
 #include "obs/progress.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/io.hh"
 #include "util/logging.hh"
 
@@ -33,23 +35,25 @@ ObsSession::ObsSession(const ObsConfig &config, SimSystem &sys,
 ObsSession::~ObsSession()
 {
     // Normal exit goes through finish(); this only releases the
-    // tracer and the forensics wiring when an engine dies mid-run
+    // recorder and the forensics wiring when an engine dies mid-run
     // (panic unwinding in tests). The wired components hold raw
     // pointers into this session, so unwiring before destruction is
     // load-bearing, not cosmetic.
     unwire();
     if (watchdog_)
         watchdog_->stop();
-    if (tracing_ && !finished_)
-        Tracer::instance().deactivate();
-    if (profiling_ && !finished_)
-        Profiler::instance().endSession();
+    if (recording_ && !finished_)
+        Recorder::instance().end();
 }
 
 void
 ObsSession::begin(const char *role)
 {
-    t0_ = std::chrono::steady_clock::now();
+    // The run's t0: trace timestamps, the profile's wall time and
+    // every metrics row count from this one capture, and the fleet
+    // merger uses it to shift this process onto the wall-epoch
+    // timeline.
+    anchor_ = captureClockAnchor();
 
     // Forensics is always on: its hot-path cost is one pointer test
     // plus table updates on actual violations, and an always-wired
@@ -67,39 +71,40 @@ ObsSession::begin(const char *role)
     if (config_.watchdogMs > 0)
         watchdog_ = std::make_unique<StallWatchdog>(config_.watchdogMs);
 
-    if (!config_.traceOut.empty()) {
-        tracing_ = Tracer::instance().activate(config_.bufferKb);
-        if (tracing_) {
-            Tracer::instance().registerThread(role);
-            traceBegin(TraceCategory::Engine, "engine-run", 0);
+    // One recorder session serves the trace, the profile and the
+    // watchdog's phase column; trace rings exist only under
+    // --trace-out.
+    const bool trace = !config_.traceOut.empty();
+    if (trace || config_.profile || watchdog_) {
+        recording_ = Recorder::instance().begin(
+            anchor_, trace ? std::max<std::uint32_t>(1, config_.bufferKb)
+                           : 0);
+        if (recording_) {
+            Recorder::instance().registerThread(role);
+            Recorder::instance().emitAt(anchor_.tsc, TraceType::Begin,
+                                        TraceCategory::Engine,
+                                        "engine-run", 0);
         } else {
-            SLACKSIM_WARN("trace session already active; --trace-out=",
-                          config_.traceOut, " ignored for this run");
+            SLACKSIM_WARN("recorder session already active; trace, "
+                          "profile and watchdog phases ignored for "
+                          "this run");
         }
     }
-    // Stamp the distributed-trace identity for this run. The anchor
-    // is captured here — within µs of the tracer's t0 — so the fleet
-    // merger can shift this process's relative trace timestamps onto
-    // the wall-epoch timeline.
+    tracing_ = recording_ && trace;
+    profiling_ = recording_ && config_.profile;
+    if (profiling_) {
+        // Hardware counters must open before worker threads spawn:
+        // inherit=1 only covers threads created after the open.
+        hw_ = std::make_unique<HwCounters>();
+        hw_->open();
+    }
+    // Stamp the distributed-trace identity for this run.
     if (!config_.traceId.empty()) {
         traceInfo_.traceId = config_.traceId;
         traceInfo_.spanId = mintSpanId();
         traceInfo_.parentSpanId = config_.parentSpanId;
-        traceInfo_.anchor = captureClockAnchor();
+        traceInfo_.anchor = anchor_;
         traceInfo_.active = true;
-    }
-    if (config_.profile) {
-        profiling_ = Profiler::instance().beginSession();
-        if (profiling_) {
-            Profiler::instance().registerThread(role);
-            // Hardware counters must open before worker threads spawn:
-            // inherit=1 only covers threads created after the open.
-            hw_ = std::make_unique<HwCounters>();
-            hw_->open();
-        } else {
-            SLACKSIM_WARN("profiler session already active; --profile "
-                          "ignored for this run");
-        }
     }
     // A live-progress observer needs the sampler running even when no
     // CSV was requested: the heartbeat is fed from the same epoch
@@ -130,10 +135,11 @@ ObsSession::unwire()
 std::uint64_t
 ObsSession::wallNowNs() const
 {
-    return static_cast<std::uint64_t>(
+    const auto now = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0_)
+            std::chrono::steady_clock::now().time_since_epoch())
             .count());
+    return now > anchor_.steadyNs ? now - anchor_.steadyNs : 0;
 }
 
 void
@@ -153,7 +159,7 @@ ObsSession::forceSample(Tick global)
 void
 ObsSession::sample(Tick global)
 {
-    PhaseScope scope(Phase::Sample);
+    Scope scope(Phase::Sample);
     const std::uint64_t t0 = wallNowNs();
     MetricsRow row;
     row.wallNs = t0;
@@ -238,8 +244,8 @@ ObsSession::collectTrace()
 {
     if (!tracing_)
         return;
-    Tracer::instance().collect();
-    if (Tracer::instance().droppedTotal() != 0)
+    Recorder::instance().collect();
+    if (Recorder::instance().droppedTotal() != 0)
         warnOnFirstDrop();
 }
 
@@ -277,10 +283,16 @@ ObsSession::finish(Tick global)
     }
     self.samplerHostNs = samplerHostNs_;
 
+    traceEnd(TraceCategory::Engine, "engine-run", global);
+    // Both engines join their workers before finish(), so every worker
+    // slot is closed; end() closes the manager's own slot and converts
+    // ticks to ns with the full-session calibration.
+    Recorder::Result recorded;
+    if (recording_)
+        recorded = Recorder::instance().end();
+
     if (tracing_) {
-        traceEnd(TraceCategory::Engine, "engine-run", global);
-        auto traces = Tracer::instance().takeTraces();
-        Tracer::instance().deactivate();
+        const auto &traces = recorded.traces;
         std::uint64_t records = 0;
         std::uint64_t dropped = 0;
         for (const auto &t : traces) {
@@ -321,11 +333,7 @@ ObsSession::finish(Tick global)
     }
 
     if (profiling_) {
-        // Both engines join their workers before finish(), so every
-        // worker slot is closed; endSession() closes the manager's
-        // own slot and converts ticks to ns with the full-session
-        // calibration.
-        forensics_.profile = Profiler::instance().endSession();
+        forensics_.profile = std::move(recorded.profile);
         if (hw_) {
             forensics_.profile.hw = hw_->read();
             hw_->close();

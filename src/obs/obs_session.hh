@@ -1,9 +1,9 @@
 /**
  * @file
  * Per-run observability session: the glue both engines drive from
- * the manager thread. Owns the trace activation lifecycle (activate
- * before worker threads spawn, drain at checkpoint boundaries,
- * export + deactivate after the run) and the epoch metrics sampler
+ * the manager thread. Owns the run's clock anchor and the recorder
+ * session (armed before worker threads spawn, drained at checkpoint
+ * boundaries, exported after the run) and the epoch metrics sampler
  * (snapshot the run state every sampling epoch, plus forced samples
  * at checkpoint/rollback edges so speculative transitions are never
  * missed between epochs).
@@ -19,7 +19,6 @@
 #ifndef SLACKSIM_OBS_OBS_SESSION_HH
 #define SLACKSIM_OBS_OBS_SESSION_HH
 
-#include <chrono>
 #include <memory>
 
 #include "obs/flight_recorder.hh"
@@ -52,24 +51,26 @@ class ObsSession
     ObsSession &operator=(const ObsSession &) = delete;
 
     /**
-     * Start the session: activates the tracer (when --trace-out is
-     * configured), registers the calling thread under @p role, opens
-     * the engine-run span, wires the forensics ledgers into the
-     * uncore/pacer/checkpointer and creates the stall watchdog (when
+     * Start the session: captures the clock anchor (t0 of every
+     * output), wires the forensics ledgers into the
+     * uncore/pacer/checkpointer, creates the stall watchdog (when
      * --watchdog-ms is set; the engine still registers workers and
-     * starts it). Call before spawning core threads AND before the
-     * initial checkpoint, so the ledger is part of every snapshot.
+     * starts it), and — when trace, profile or watchdog is requested
+     * — arms the recorder, registers the calling thread under @p role
+     * and opens the engine-run span at the anchor. Call before
+     * spawning core threads AND before the initial checkpoint, so the
+     * ledger is part of every snapshot.
      */
     void begin(const char *role);
 
-    /** @return true while the event tracer is recording this run. */
+    /** @return true while the recorder traces this run. */
     bool tracing() const { return tracing_; }
 
     /** @return true when the metrics sampler is on. */
     bool metricsOn() const { return sampler_ != nullptr; }
 
-    /** @return true while the host-time profiler is attributing this
-     *  run (--profile). */
+    /** @return true while the recorder's profile of this run will be
+     *  reported (--profile). */
     bool profiling() const { return profiling_; }
 
     /** @return the stall watchdog, or nullptr when not configured.
@@ -82,8 +83,8 @@ class ObsSession
     /** Sample unconditionally (checkpoint / rollback edges). */
     void forceSample(Tick global);
 
-    /** Drain the per-thread rings into the session accumulator
-     *  (checkpoint boundaries; frees ring space mid-run). */
+    /** Drain the per-thread trace rings into the recorder's
+     *  accumulators (checkpoint boundaries; frees ring space mid-run). */
     void collectTrace();
 
     /**
@@ -116,6 +117,7 @@ class ObsSession
     Checkpointer &ckpt_;
     const HostStats &host_;
 
+    bool recording_ = false; //!< this run owns the recorder session
     bool tracing_ = false;
     bool profiling_ = false;
     bool finished_ = false;
@@ -123,7 +125,7 @@ class ObsSession
     bool dropWarned_ = false;
     std::unique_ptr<MetricsSampler> sampler_;
     std::unique_ptr<HwCounters> hw_;
-    std::chrono::steady_clock::time_point t0_{};
+    ClockAnchor anchor_; //!< t0 of trace, profile and metrics
 
     ViolationLedger ledger_;
     AdaptiveDecisionLog decisions_;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The unified machine-readable run report: one versioned JSON
- * document (`slacksim.run_report.v4`) merging the configuration, the
+ * document (`slacksim.run_report.v5`) merging the configuration, the
  * RunResult, the violation-forensics ledger, the adaptive decision
  * log, the degradation-ladder outcome, the fault-injection record and
  * the obs layer's own overhead counters. Emitted by runSimulation()

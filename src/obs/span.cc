@@ -8,7 +8,7 @@
 
 #include <unistd.h>
 
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 
 namespace slacksim::obs {
 
@@ -53,7 +53,7 @@ captureClockAnchor()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-    anchor.tsc = profTsc();
+    anchor.tsc = tscNow();
     anchor.pid = static_cast<std::uint32_t>(::getpid());
     return anchor;
 }

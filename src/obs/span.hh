@@ -33,7 +33,7 @@ struct ClockAnchor
 {
     std::uint64_t wallUs = 0;   //!< system_clock, µs since epoch
     std::uint64_t steadyNs = 0; //!< steady_clock, ns (process-local)
-    std::uint64_t tsc = 0;      //!< raw timestamp counter (profTsc)
+    std::uint64_t tsc = 0;      //!< raw timestamp counter (tscNow)
     std::uint32_t pid = 0;      //!< process that captured the anchor
 };
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace record layout shared by the lock-free per-thread tracer and
+ * Trace record layout shared by the recorder's per-thread rings and
  * the exporters. One record is one timeline event: the begin or end
  * of a span, an instant marker, or a counter sample. Records carry
  * both clocks of the "CMP on CMP" pair — host wall time (what the
@@ -47,7 +47,9 @@ const char *traceCategoryName(TraceCategory cat);
  */
 struct TraceRecord
 {
-    std::uint64_t wallNs = 0; //!< host ns since trace activation
+    /** Host ns since the run's clock anchor; raw counter ticks while
+     *  the record sits in a ring (Recorder::end() converts). */
+    std::uint64_t wallNs = 0;
     Tick cycle = 0;           //!< simulated target cycle
     const char *name = "";    //!< static event name
     std::int64_t arg = 0;     //!< event argument (value, count, ...)

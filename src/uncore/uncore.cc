@@ -10,7 +10,7 @@
 #include <algorithm>
 
 #include "obs/forensics.hh"
-#include "obs/tracer.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 namespace slacksim {

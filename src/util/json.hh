@@ -10,7 +10,7 @@
  *
  *   JsonWriter w(os);
  *   w.beginObject();
- *   w.field("schema", "slacksim.run_report.v4");
+ *   w.field("schema", "slacksim.run_report.v5");
  *   w.beginArray("runs");
  *   w.beginObject(); w.field("name", name); w.endObject();
  *   w.endArray();

@@ -5,15 +5,15 @@
  * Historically one process hosted exactly one simulation at a time,
  * so "the current run" was implicit. The serve subsystem runs many
  * simulations concurrently on a shared worker pool, which means every
- * piece of process-wide state reachable from the run path (the trace
- * and profiler registries, the fault plan) must be able to answer
+ * piece of process-wide state reachable from the run path (the
+ * recorder registry, the fault plan) must be able to answer
  * "which run does this thread belong to right now?".
  *
  * A run token is a process-unique, never-reused 64-bit id minted by
  * runSimulation(). The engine binds the token to every host thread it
  * borrows for the run (manager, cores, relays) via ScopedRunToken;
- * token-aware registries (obs/tracer.hh, obs/profiler.hh) compare the
- * calling thread's token against the session owner's and ignore
+ * the token-aware recorder registry (obs/recorder.hh) compares the
+ * calling thread's token against the session owner's and ignores
  * threads that belong to a different run. Token 0 means "no run" and
  * matches the pre-serve single-tenant behavior everywhere.
  */

@@ -16,6 +16,7 @@
 #include "obs/flight_recorder.hh"
 #include "obs/forensics.hh"
 #include "uncore/uncore.hh"
+#include "util/logging.hh"
 #include "util/snapshot.hh"
 
 using namespace slacksim;
@@ -447,4 +448,29 @@ TEST(StallWatchdog, DumpNowWorksWithoutStall)
     EXPECT_EQ(wd.stallDumps(), 1u);
     EXPECT_NE(wd.lastDump().find("unit test"), std::string::npos);
     EXPECT_NE(wd.lastDump().find("worker a"), std::string::npos);
+}
+
+TEST(StallWatchdog, EngineDumpShowsEachHostThreadPhase)
+{
+    // A watchdog alone (no --profile) arms the recorder, so a stall
+    // dump names every host thread with the phase it is in: worker
+    // threads register as "worker N", not under their cores' names.
+    setQuietLogging(true);
+    SimConfig config =
+        baseConfig("uniform", SchemeKind::Bounded, /*parallel=*/true);
+    config.engine.hostThreads = 3;
+    config.engine.maxCommittedUops = 20000;
+    config.engine.faultSpecs = {"worker-stall@cycle:2000:400"};
+    config.engine.obs.watchdogMs = 50;
+    const RunResult r = runSimulation(config);
+
+    EXPECT_FALSE(r.forensics.profile.enabled);
+    const std::string &dump = r.forensics.lastStallDump;
+    ASSERT_GE(r.forensics.stallDumps, 1u);
+    const auto at = dump.find("worker 0");
+    ASSERT_NE(at, std::string::npos) << dump;
+    const std::string line =
+        dump.substr(at, dump.find('\n', at) - at);
+    EXPECT_NE(line.find("phase="), std::string::npos) << dump;
+    EXPECT_NE(dump.find("manager phase="), std::string::npos) << dump;
 }

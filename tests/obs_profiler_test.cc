@@ -1,10 +1,11 @@
 /**
  * @file
- * Host-time profiler tests: exclusive-time attribution through nested
- * scopes, exact per-thread counts across concurrent workers, the
- * disabled path being inert, the perf_event fallback, folded-stack
- * export shape, and a real engine run landing host time in the
- * simulate phase with span reconstruction per worker.
+ * Profile-side recorder tests: exclusive-time attribution through
+ * nested scopes, exact per-thread counts across concurrent workers,
+ * the disabled path being inert, the live phase the watchdog reads,
+ * the perf_event fallback, folded-stack export shape, and a real
+ * engine run landing host time in the simulate phase with span
+ * reconstruction per worker.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +19,7 @@
 
 #include "core/run.hh"
 #include "obs/hw_counters.hh"
-#include "obs/profiler.hh"
+#include "obs/recorder.hh"
 #include "util/logging.hh"
 
 using namespace slacksim;
@@ -46,25 +47,43 @@ findTotal(const std::vector<PhaseTotal> &totals, const std::string &name)
     return nullptr;
 }
 
+/** Live phase of the thread registered under @p role, as the stall
+ *  watchdog sees it; nullptr when no such thread is registered. */
+const char *
+livePhaseOf(const std::string &role)
+{
+    for (const auto &[r, phase] : Recorder::instance().livePhases())
+        if (r == role)
+            return phase;
+    return nullptr;
+}
+
+/** Arm a phases-only session (no trace rings). */
+bool
+beginProfile()
+{
+    return Recorder::instance().begin(captureClockAnchor(), 0);
+}
+
 } // namespace
 
-TEST(Profiler, NestedScopesAttributeExclusiveTime)
+TEST(RecorderProfile, NestedScopesAttributeExclusiveTime)
 {
-    Profiler &prof = Profiler::instance();
-    ASSERT_TRUE(prof.beginSession());
-    prof.registerThread("tester");
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(beginProfile());
+    rec.registerThread("tester");
 
     {
-        PhaseScope drain(Phase::Drain);
+        Scope drain(Phase::Drain);
         spin(200000);
         {
-            PhaseScope simulate(Phase::Simulate);
+            Scope simulate(Phase::Simulate);
             spin(200000);
         }
         spin(200000);
     }
 
-    const ProfileReport report = prof.endSession();
+    const ProfileReport report = rec.end().profile;
     ASSERT_EQ(report.workers.size(), 1u);
     const ProfileWorker &w = report.workers[0];
     EXPECT_EQ(w.role, "tester");
@@ -94,30 +113,30 @@ TEST(Profiler, NestedScopesAttributeExclusiveTime)
     EXPECT_EQ(w.droppedPaths, 0u);
 }
 
-TEST(Profiler, PerThreadCountsAreExact)
+TEST(RecorderProfile, PerThreadCountsAreExact)
 {
-    Profiler &prof = Profiler::instance();
-    ASSERT_TRUE(prof.beginSession());
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(beginProfile());
 
     constexpr int threads = 4;
     constexpr std::uint64_t scopesPerThread = 1000;
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
         pool.emplace_back([t] {
-            Profiler &p = Profiler::instance();
-            p.registerThread("worker " + std::to_string(t));
+            Recorder &r = Recorder::instance();
+            r.registerThread("worker " + std::to_string(t));
             for (std::uint64_t i = 0; i < scopesPerThread; ++i) {
-                PhaseScope outer(Phase::Simulate);
-                PhaseScope inner(Phase::QueuePush);
+                Scope outer(Phase::Simulate);
+                Scope inner(Phase::QueuePush);
                 spin(50);
             }
-            p.unregisterThread();
+            r.unregisterThread();
         });
     }
     for (auto &th : pool)
         th.join();
 
-    const ProfileReport report = prof.endSession();
+    const ProfileReport report = rec.end().profile;
     ASSERT_EQ(report.workers.size(), static_cast<std::size_t>(threads));
     for (const auto &w : report.workers) {
         const PhaseTotal *simulate = findTotal(w.phases, "simulate");
@@ -141,63 +160,62 @@ TEST(Profiler, PerThreadCountsAreExact)
               static_cast<std::uint64_t>(threads) * scopesPerThread);
 }
 
-TEST(Profiler, ScopesWithoutSessionAreInert)
+TEST(RecorderProfile, ScopesWithoutSessionAreInert)
 {
-    Profiler &prof = Profiler::instance();
-    ASSERT_FALSE(prof.active());
+    Recorder &rec = Recorder::instance();
+    ASSERT_FALSE(rec.active());
 
     // No session: scopes and registration must be no-ops.
-    prof.registerThread("ghost");
+    rec.registerThread("ghost");
     {
-        PhaseScope simulate(Phase::Simulate);
-        PhaseScope barrier(Phase::Barrier);
+        Scope simulate(Phase::Simulate);
+        Scope barrier(Phase::Barrier);
         spin(1000);
     }
-    EXPECT_EQ(prof.boundSlot(), nullptr);
-    EXPECT_EQ(prof.currentPhaseOfRole("ghost"), nullptr);
+    EXPECT_EQ(rec.boundSlot(), nullptr);
+    EXPECT_EQ(livePhaseOf("ghost"), nullptr);
 
     // A following session starts from zero — nothing leaked in.
-    ASSERT_TRUE(prof.beginSession());
-    prof.registerThread("clean");
-    const ProfileReport report = prof.endSession();
+    ASSERT_TRUE(beginProfile());
+    rec.registerThread("clean");
+    const ProfileReport report = rec.end().profile;
     ASSERT_EQ(report.workers.size(), 1u);
     for (const auto &p : report.workers[0].phases)
         EXPECT_EQ(p.count, 0u) << p.name;
     EXPECT_TRUE(report.workers[0].paths.empty());
 }
 
-TEST(Profiler, SecondConcurrentSessionIsRefused)
+TEST(RecorderProfile, SecondConcurrentSessionIsRefused)
 {
-    Profiler &prof = Profiler::instance();
-    ASSERT_TRUE(prof.beginSession());
-    EXPECT_FALSE(prof.beginSession());
-    const ProfileReport report = prof.endSession();
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(beginProfile());
+    EXPECT_FALSE(beginProfile());
+    const ProfileReport report = rec.end().profile;
     EXPECT_TRUE(report.enabled);
-    ASSERT_FALSE(prof.active());
+    ASSERT_FALSE(rec.active());
 }
 
-TEST(Profiler, CurrentPhaseIsLiveDuringSession)
+TEST(RecorderProfile, CurrentPhaseIsLiveDuringSession)
 {
-    Profiler &prof = Profiler::instance();
-    ASSERT_TRUE(prof.beginSession());
-    prof.registerThread("live");
-    EXPECT_STREQ(prof.currentPhaseOfRole("live"), "idle");
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(beginProfile());
+    rec.registerThread("live");
+    EXPECT_STREQ(livePhaseOf("live"), "idle");
     {
-        PhaseScope checkpoint(Phase::Checkpoint);
-        EXPECT_STREQ(prof.currentPhaseOfRole("live"), "checkpoint");
+        Scope checkpoint(Phase::Checkpoint);
+        EXPECT_STREQ(livePhaseOf("live"), "checkpoint");
         {
-            PhaseScope rollback(Phase::RollbackReplay);
-            EXPECT_STREQ(prof.currentPhaseOfRole("live"),
-                         "rollback-replay");
+            Scope rollback(Phase::RollbackReplay);
+            EXPECT_STREQ(livePhaseOf("live"), "rollback-replay");
         }
-        EXPECT_STREQ(prof.currentPhaseOfRole("live"), "checkpoint");
+        EXPECT_STREQ(livePhaseOf("live"), "checkpoint");
     }
-    EXPECT_STREQ(prof.currentPhaseOfRole("live"), "idle");
-    EXPECT_EQ(prof.currentPhaseOfRole("nobody"), nullptr);
-    prof.endSession();
+    EXPECT_STREQ(livePhaseOf("live"), "idle");
+    EXPECT_EQ(livePhaseOf("nobody"), nullptr);
+    rec.end();
 }
 
-TEST(Profiler, VerdictNamesTheDominantPhase)
+TEST(RecorderProfile, VerdictNamesTheDominantPhase)
 {
     ProfileReport report;
     report.enabled = true;
@@ -217,7 +235,7 @@ TEST(Profiler, VerdictNamesTheDominantPhase)
     EXPECT_NE(verdict.find("bottleneck"), std::string::npos) << verdict;
 }
 
-TEST(Profiler, FoldedStacksExportShape)
+TEST(RecorderProfile, FoldedStacksExportShape)
 {
     ProfileReport report;
     report.enabled = true;
@@ -320,6 +338,6 @@ TEST(ProfilerEngine, RunAttributesSimulateTime)
             EXPECT_EQ(attributed + w.otherNs, w.spanNs) << w.role;
     }
 
-    // The profiler disarms at end of run: later scopes are inert.
-    EXPECT_FALSE(Profiler::instance().active());
+    // The recorder disarms at end of run: later scopes are inert.
+    EXPECT_FALSE(Recorder::instance().active());
 }

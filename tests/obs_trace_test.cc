@@ -1,14 +1,18 @@
 /**
  * @file
- * Event tracer tests: ring wraparound and overflow accounting, span
- * begin/end pairing through the registry, deterministic multi-thread
- * merge order, and a golden test that a traced engine run emits a
- * parseable Chrome-trace JSON containing the expected span names.
+ * Trace-side recorder tests: ring wraparound and overflow accounting,
+ * span begin/end pairing through the registry, per-thread collection
+ * from concurrent producers, the one-clock contract (engine-run opens
+ * at the anchor; a committed scope's span matches its profile time),
+ * and a golden test that a traced engine run emits a parseable
+ * Chrome-trace JSON containing the expected span names.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -21,8 +25,8 @@
 
 #include "core/run.hh"
 #include "obs/chrome_trace.hh"
+#include "obs/recorder.hh"
 #include "obs/trace_buffer.hh"
-#include "obs/tracer.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
 
@@ -336,18 +340,16 @@ TEST(TraceRing, OverflowDropsNewestAndCounts)
     EXPECT_EQ(out[0].cycle, 999u);
 }
 
-TEST(Tracer, SpanBeginEndPairing)
+TEST(RecorderTrace, SpanBeginEndPairing)
 {
-    Tracer &tracer = Tracer::instance();
-    ASSERT_TRUE(tracer.activate(64));
-    tracer.registerThread("pairing");
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 64));
+    rec.registerThread("pairing");
     traceBegin(TraceCategory::Engine, "outer", 10);
     traceBegin(TraceCategory::Core, "inner", 11);
     traceEnd(TraceCategory::Core, "inner", 12);
     traceEnd(TraceCategory::Engine, "outer", 13);
-    auto traces = tracer.takeTraces();
-    tracer.unregisterThread();
-    tracer.deactivate();
+    const auto traces = rec.end().traces;
 
     ASSERT_EQ(traces.size(), 1u);
     const auto &records = traces[0].records;
@@ -364,68 +366,202 @@ TEST(Tracer, SpanBeginEndPairing)
     EXPECT_EQ(traces[0].dropped, 0u);
 }
 
-TEST(Tracer, EmitWithoutSessionIsNoOp)
+TEST(RecorderTrace, EmitWithoutSessionIsNoOp)
 {
-    Tracer &tracer = Tracer::instance();
-    ASSERT_FALSE(tracer.active());
+    Recorder &rec = Recorder::instance();
+    ASSERT_FALSE(rec.active());
     traceInstant(TraceCategory::Bus, "ignored", 1);
-    ASSERT_TRUE(tracer.activate(64));
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 64));
     // Emission before registration is also dropped silently.
     traceInstant(TraceCategory::Bus, "ignored", 2);
-    auto traces = tracer.takeTraces();
-    tracer.deactivate();
+    const auto traces = rec.end().traces;
     EXPECT_TRUE(traces.empty());
 }
 
-TEST(Tracer, OnlyOneSessionAtATime)
+TEST(RecorderTrace, OnlyOneSessionAtATime)
 {
-    Tracer &tracer = Tracer::instance();
-    ASSERT_TRUE(tracer.activate(64));
-    EXPECT_FALSE(tracer.activate(64));
-    tracer.deactivate();
-    EXPECT_TRUE(tracer.activate(64));
-    tracer.deactivate();
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 64));
+    EXPECT_FALSE(rec.begin(captureClockAnchor(), 64));
+    rec.end();
+    EXPECT_TRUE(rec.begin(captureClockAnchor(), 64));
+    rec.end();
 }
 
-TEST(Tracer, MergeByCycleOrdersAcrossThreads)
+TEST(RecorderTrace, CollectsEveryProducerInEmitOrder)
 {
-    Tracer &tracer = Tracer::instance();
-    ASSERT_TRUE(tracer.activate(256));
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 256));
 
     // Three producer threads, interleaved simulated cycles.
     std::vector<std::thread> workers;
     for (int t = 0; t < 3; ++t) {
-        workers.emplace_back([t, &tracer] {
-            tracer.registerThread("worker " + std::to_string(t));
+        workers.emplace_back([t, &rec] {
+            rec.registerThread("worker " + std::to_string(t));
             for (Tick c = 0; c < 50; ++c) {
                 traceInstant(TraceCategory::Core, "tick",
                              c * 3 + static_cast<Tick>(t),
                              static_cast<std::int64_t>(t));
             }
-            tracer.unregisterThread();
+            rec.unregisterThread();
         });
     }
     for (auto &w : workers)
         w.join();
 
-    auto traces = tracer.takeTraces();
-    tracer.deactivate();
+    const auto traces = rec.end().traces;
     ASSERT_EQ(traces.size(), 3u);
-
-    const auto merged = mergeByCycle(traces);
-    ASSERT_EQ(merged.size(), 150u);
-    for (std::size_t i = 1; i < merged.size(); ++i) {
-        const auto &prev = merged[i - 1];
-        const auto &cur = merged[i];
-        const bool ordered =
-            prev.second.cycle < cur.second.cycle ||
-            (prev.second.cycle == cur.second.cycle &&
-             prev.first <= cur.first);
-        EXPECT_TRUE(ordered) << "disorder at " << i;
+    // One track per producer, each holding its 50 records in emit
+    // order: the cycles that thread stamped, 3*c + t for c = 0..49.
+    std::set<std::int64_t> producers;
+    for (const auto &trace : traces) {
+        ASSERT_EQ(trace.records.size(), 50u) << trace.role;
+        EXPECT_EQ(trace.dropped, 0u) << trace.role;
+        const std::int64_t t = trace.records.front().arg;
+        EXPECT_EQ(trace.role, "worker " + std::to_string(t));
+        producers.insert(t);
+        for (std::size_t c = 0; c < trace.records.size(); ++c) {
+            EXPECT_EQ(trace.records[c].arg, t) << trace.role;
+            EXPECT_EQ(trace.records[c].cycle,
+                      static_cast<Tick>(c * 3 + t))
+                << trace.role << " record " << c;
+        }
     }
-    // With cycle = 3*c + tid the merged stream is exactly 0,1,2,3...
-    for (std::size_t i = 0; i < merged.size(); ++i)
-        EXPECT_EQ(merged[i].second.cycle, static_cast<Tick>(i));
+    EXPECT_EQ(producers.size(), 3u);
+}
+
+TEST(RecorderTrace, ShortCommittedSpansAreFiltered)
+{
+    // The flood filter: a committed scope shorter than its floor
+    // leaves no span, while the phase time is still attributed.
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 64));
+    rec.registerThread("filter");
+    {
+        Scope quick(Phase::WaitInbound);
+        quick.commit(TraceCategory::Core, "core-park", 1, 1, 0,
+                     /*min_ns=*/1'000'000'000);
+    }
+    {
+        Scope kept(Phase::WaitInbound);
+        kept.commit(TraceCategory::Core, "core-park", 2, 2, 0,
+                    /*min_ns=*/0);
+    }
+    const Recorder::Result r = rec.end();
+    ASSERT_EQ(r.traces.size(), 1u);
+    ASSERT_EQ(r.traces[0].records.size(), 2u);
+    EXPECT_EQ(r.traces[0].records[0].cycle, 2u);
+    EXPECT_EQ(r.traces[0].records[1].cycle, 2u);
+    ASSERT_EQ(r.profile.workers.size(), 1u);
+    for (const auto &p : r.profile.workers[0].phases) {
+        if (p.name == "wait-inbound") {
+            EXPECT_EQ(p.count, 2u);
+        }
+    }
+}
+
+TEST(OneClock, CommittedScopeSpanMatchesItsProfileTime)
+{
+    // Trace and profile both read the scope's own two counter reads:
+    // the exported B/E pair and the profile's exclusive time for the
+    // scope are one measurement, converted by one calibration.
+    Recorder &rec = Recorder::instance();
+    ASSERT_TRUE(rec.begin(captureClockAnchor(), 64));
+    rec.registerThread("one clock");
+    {
+        Scope scope(Phase::Checkpoint);
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(300);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        scope.commit(TraceCategory::Checkpoint, "checkpoint", 7, 7, 42);
+    }
+    const Recorder::Result r = rec.end();
+
+    ASSERT_EQ(r.traces.size(), 1u);
+    const auto &records = r.traces[0].records;
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].type, TraceType::Begin);
+    EXPECT_EQ(records[1].type, TraceType::End);
+    EXPECT_STREQ(records[0].name, "checkpoint");
+    EXPECT_EQ(records[1].arg, 42);
+    ASSERT_GE(records[1].wallNs, records[0].wallNs);
+    const std::uint64_t span_ns = records[1].wallNs - records[0].wallNs;
+    EXPECT_GE(span_ns, 250'000u); // the 300 µs spin, calibration slack
+
+    ASSERT_EQ(r.profile.workers.size(), 1u);
+    std::uint64_t profile_ns = 0;
+    for (const auto &p : r.profile.workers[0].phases) {
+        if (p.name == "checkpoint") {
+            EXPECT_EQ(p.count, 1u);
+            profile_ns = p.ns;
+        }
+    }
+    const std::uint64_t diff = span_ns > profile_ns
+                                   ? span_ns - profile_ns
+                                   : profile_ns - span_ns;
+    EXPECT_LE(diff, 1000u) << "span " << span_ns << " ns vs profile "
+                           << profile_ns << " ns";
+}
+
+TEST(OneClock, EngineRunOpensAtTheAnchor)
+{
+    // The session anchor is t0 of the whole trace: engine-run's B is
+    // stamped with it (ts 0), nothing precedes it, and the same anchor
+    // rides in the metadata — for both engines.
+    for (const bool parallel : {false, true}) {
+        SimConfig config;
+        config.workload.kernel = "uniform";
+        config.target.numCores = 4;
+        config.workload.numThreads = 4;
+        config.workload.iters = 200;
+        config.workload.footprintBytes = 16 * 1024;
+        config.engine.scheme = SchemeKind::Bounded;
+        config.engine.maxCommittedUops = 2000;
+        config.engine.parallelHost = parallel;
+        if (parallel)
+            config.engine.hostThreads = 3;
+        config.engine.obs.profile = true;
+        RunResult r;
+        const json::Value doc = traceFromRun(
+            config, parallel ? "obs_trace_t0_par" : "obs_trace_t0_ser",
+            &r);
+
+        double engine_run_ts = -1.0;
+        double min_ts = 1e300;
+        for (const auto &ev : doc.at("traceEvents").array) {
+            if (ev.at("ph").asString() == "M")
+                continue;
+            const double ts = ev.at("ts").asNumber();
+            min_ts = std::min(min_ts, ts);
+            if (ev.at("name").asString() == "engine-run" &&
+                ev.at("ph").asString() == "B") {
+                engine_run_ts = ts;
+            }
+        }
+        EXPECT_EQ(engine_run_ts, 0.0) << "parallel=" << parallel;
+        EXPECT_EQ(min_ts, 0.0) << "parallel=" << parallel;
+
+        ASSERT_TRUE(doc.has("metadata"));
+        const json::Value &anchor =
+            doc.at("metadata").at("clock_anchor");
+        const ClockAnchor &a = r.forensics.trace.anchor;
+        EXPECT_EQ(anchor.at("wall_us").asNumber(),
+                  static_cast<double>(a.wallUs));
+        EXPECT_EQ(anchor.at("tsc").asNumber(),
+                  static_cast<double>(a.tsc));
+        // The profile's wall time runs from the same anchor, so it
+        // covers engine-run's whole span.
+        ASSERT_TRUE(r.forensics.profile.enabled);
+        for (const auto &ev : doc.at("traceEvents").array) {
+            if (ev.at("name").asString() == "engine-run" &&
+                ev.at("ph").asString() == "E") {
+                EXPECT_LE(ev.at("ts").asNumber() * 1000.0,
+                          static_cast<double>(
+                              r.forensics.profile.wallNs) + 1000.0);
+            }
+        }
+    }
 }
 
 TEST(ChromeTrace, GoldenSpansFromTinyEngineRun)
