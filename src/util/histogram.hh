@@ -95,6 +95,8 @@ class Log2Histogram
     /** Render a compact textual summary with an ASCII bar chart. */
     void print(std::ostream &os, const std::string &label) const;
 
+    bool operator==(const Log2Histogram &) const = default;
+
   private:
     std::array<std::uint64_t, 65> buckets_{};
     std::uint64_t count_ = 0;

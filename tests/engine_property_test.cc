@@ -98,11 +98,43 @@ TEST(HostKnobs, SerialCcMatchesParallelForSplashWindow)
         SCOPED_TRACE(kernel);
         const auto a = runSimulation(serial);
         const auto b = runSimulation(parallel);
-        // With a uop budget the stop points may differ by a burst, so
-        // compare accuracy-relevant *rates* rather than totals.
+        // Auto topology may launch worker threads, and threaded CC is
+        // not yet bit-identical to the serial engine (ROADMAP item 1),
+        // so compare accuracy-relevant *rates* rather than totals. The
+        // inline case below pins every statistic exactly.
         EXPECT_EQ(a.violations.total(), 0u);
         EXPECT_EQ(b.violations.total(), 0u);
         EXPECT_NEAR(a.cpi(), b.cpi(), a.cpi() * 0.05);
+    }
+}
+
+TEST(HostKnobs, SerialCcMatchesInlineParallelExactlyForSplashWindow)
+{
+    // The inline parallel engine is deterministic: with the same uop
+    // budget it must stop on the serial engine's cycle with every
+    // simulated statistic equal.
+    for (const auto &kernel : splashNames()) {
+        auto serial = smallConfig(kernel, SchemeKind::CycleByCycle,
+                                  false);
+        serial.workload.bodies = 128;
+        serial.workload.matrixN = 32;
+        serial.workload.blockB = 8;
+        serial.workload.molecules = 16;
+        serial.workload.timesteps = 1;
+        serial.engine.maxCommittedUops = 15000;
+        auto parallel = serial;
+        parallel.engine.parallelHost = true;
+        parallel.engine.hostThreads = 1;
+        SCOPED_TRACE(kernel);
+        const auto a = runSimulation(serial);
+        const auto b = runSimulation(parallel);
+        EXPECT_EQ(a.execCycles, b.execCycles);
+        EXPECT_EQ(a.globalCycles, b.globalCycles);
+        EXPECT_EQ(a.committedUops, b.committedUops);
+        EXPECT_TRUE(a.perCore == b.perCore);
+        EXPECT_TRUE(a.uncore == b.uncore);
+        EXPECT_TRUE(a.violations == b.violations);
+        EXPECT_TRUE(a.busQueueHistogram == b.busQueueHistogram);
     }
 }
 
