@@ -25,19 +25,78 @@ CoreComplex::CoreComplex(const SimConfig &config, CoreId id,
 }
 
 CoreComplex::CycleOutcome
-CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget)
+CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget,
+                   StallAccounting accounting)
 {
     if (skip_budget == 0)
         skip_budget = 1;
     if (finished())
         return CycleOutcome::Progress;
-    // Reserve space for the worst-case message volume of one cycle so
-    // the cycle never has to abort halfway through.
-    if (!outQ_.hasFreeSpace(outboundHeadroom))
-        return CycleOutcome::Backpressure;
 
     const Tick now = localTime_.load(std::memory_order_relaxed);
+    const bool exact = accounting == StallAccounting::Exact;
 
+    // A core already known to be inert, with nothing due before its
+    // wake, would repeat its evaluated cycle exactly: re-enter it in
+    // O(1) and skip from `now` itself, the first cycle the skip below
+    // stands for.
+    Tick wake = exact && inert_ ? nextWake() : now;
+    Tick skip_from = now;
+    if (wake <= now) {
+        // Reserve space for the worst-case message volume of one cycle
+        // so the cycle never has to abort halfway through.
+        if (!outQ_.hasFreeSpace(outboundHeadroom))
+            return CycleOutcome::Backpressure;
+        inert_ = false;
+        if (exact)
+            inertDelta_ = stats_; // the counters before this cycle
+        if (step(now) || finished()) {
+            // Publish the new local time only after the cycle's
+            // messages are in the queue: once the manager observes
+            // localTime > T it may assume every event of cycle T is
+            // visible.
+            localTime_.store(now + 1, std::memory_order_release);
+            return CycleOutcome::Progress;
+        }
+        if (exact) {
+            inert_ = true;
+            inertDelta_ = stats_.since(inertDelta_);
+        }
+        wake = nextWake();
+        skip_from = now + 1;
+    }
+
+    // The core is inert: identical behavior every cycle until the
+    // earliest of (a) an already-scheduled internal completion,
+    // (b) the InQ head becoming applicable, (c) the pacing limit.
+    Tick target = wake;
+    if (target == maxTick) {
+        // Only a future delivery can wake the core. With pacing
+        // headroom we bulk-skip the stall cycles up to the limit;
+        // a free-running (unbounded) core instead freezes until
+        // the manager delivers something.
+        if (max_local >= maxTick - 1)
+            return CycleOutcome::WaitInbound;
+        target = max_local + 1;
+    }
+    Tick next = skip_from;
+    if (target > skip_from) {
+        next = std::min({target, max_local + 1,
+                         now + static_cast<Tick>(skip_budget)});
+        if (next <= now)
+            return CycleOutcome::WaitInbound; // no headroom left
+    }
+    if (exact)
+        stats_.addScaled(inertDelta_, next - skip_from);
+    else
+        stats_.idleCycles += next - skip_from;
+    localTime_.store(next, std::memory_order_release);
+    return CycleOutcome::Progress;
+}
+
+bool
+CoreComplex::step(Tick now)
+{
     // Apply inbound messages that have become visible at this local
     // time. The head may carry a future timestamp; it then waits
     // (later entries wait behind it — a slack-induced distortion the
@@ -67,38 +126,23 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget)
                         "OutQ overflow despite headroom check");
         scratch_.clear();
     }
+    return progressed;
+}
 
-    Tick next = now + 1;
-    if (!progressed && !finished()) {
-        // The core is inert: identical behavior every cycle until the
-        // earliest of (a) an already-scheduled internal completion,
-        // (b) the InQ head becoming applicable, (c) the pacing limit.
-        Tick target = core_.earliestSelfWake();
-        if (const BusMsg *head = inQ_.front())
-            target = std::min(target, head->ts);
-        if (target == maxTick) {
-            // Only a future delivery can wake the core. With pacing
-            // headroom we bulk-skip the stall cycles up to the limit;
-            // a free-running (unbounded) core instead freezes until
-            // the manager delivers something.
-            if (max_local >= maxTick - 1)
-                return CycleOutcome::WaitInbound;
-            target = max_local + 1;
-        }
-        if (target > next) {
-            next = std::min({target, max_local + 1,
-                             now + static_cast<Tick>(skip_budget)});
-            if (next <= now)
-                return CycleOutcome::WaitInbound; // no headroom left
-            stats_.idleCycles += next - (now + 1);
-        }
-    }
+Tick
+CoreComplex::nextWake() const
+{
+    Tick wake = core_.earliestSelfWake();
+    if (const BusMsg *head = inQ_.front())
+        wake = std::min(wake, head->ts);
+    return wake;
+}
 
-    // Publish the new local time only after the cycle's messages are
-    // in the queue: once the manager observes localTime > T it may
-    // assume every event of cycle T is visible.
-    localTime_.store(next, std::memory_order_release);
-    return CycleOutcome::Progress;
+Tick
+CoreComplex::wakeHint() const
+{
+    const Tick now = localTime();
+    return inert_ ? std::max(now, nextWake()) : now;
 }
 
 void
@@ -128,6 +172,7 @@ CoreComplex::restore(SnapshotReader &reader)
     nextSeq_ = reader.get<SeqNum>();
     localTime_.store(reader.get<Tick>(), std::memory_order_release);
     scratch_.clear();
+    inert_ = false;
 }
 
 } // namespace slacksim

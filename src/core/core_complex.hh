@@ -48,6 +48,19 @@ class CoreComplex : public Snapshotable
                       //!< to skip into: only a delivery can wake it
     };
 
+    /** How an idle skip accounts the stall cycles it jumps over. */
+    enum class StallAccounting : std::uint8_t
+    {
+        /** Slack schemes: the evaluated inert cycle's increments,
+         *  then idleCycles for every cycle jumped over. */
+        Idle,
+        /** Sorted service: each skipped cycle adds the inert cycle's
+         *  increments once, so a skip cannot be told apart from
+         *  stepping every cycle; a core already known to be inert is
+         *  re-entered in O(1) without re-evaluating the pipeline. */
+        Exact,
+    };
+
     /**
      * Execute one target cycle at the current local time.
      *
@@ -65,9 +78,22 @@ class CoreComplex : public Snapshotable
      * at the same host-visible pace as a busy one; otherwise a core
      * waiting for a fill would leap the whole pacing window before
      * the manager could deliver it, inflating simulated time.
+     *
+     * @param accounting how the skipped stall cycles are counted.
      */
     CycleOutcome cycle(Tick max_local,
-                       std::uint32_t skip_budget = 0xffffffff);
+                       std::uint32_t skip_budget = 0xffffffff,
+                       StallAccounting accounting =
+                           StallAccounting::Idle);
+
+    /**
+     * @return the earliest cycle at which this core may emit a
+     * message or change state: its clock, or, once an Exact cycle
+     * found the core inert, the earlier of its next timer completion
+     * and its InQ head (never below the clock). A delivery that
+     * arrives later can only make the core wake earlier.
+     */
+    Tick wakeHint() const;
 
     /** @return this core's current local clock. */
     Tick
@@ -110,8 +136,21 @@ class CoreComplex : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
+    /** Evaluate the pipeline for cycle @p now. @return true when the
+     *  cycle changed anything (see OooCore::cycle). */
+    bool step(Tick now);
+
+    /** @return min(next timer completion, InQ head timestamp). */
+    Tick nextWake() const;
+
     CoreId id_;
     CoreStats stats_;
+    /** Set by an Exact cycle that found the core inert; cleared by
+     *  any evaluated cycle and by restore(). Derived state: never
+     *  serialized. */
+    bool inert_ = false;
+    /** The inert cycle's counter increments (valid while inert_). */
+    CoreStats inertDelta_;
     L1Cache l1d_;
     L1Cache l1i_;
     OooCore core_;

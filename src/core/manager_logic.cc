@@ -207,12 +207,33 @@ ManagerLogic::flushOverflow()
 bool
 ManagerLogic::drained() const
 {
-    if (stagedCount_ != 0)
-        return false;
+    return stagedCount_ == 0 && !overflowPending();
+}
+
+Tick
+ManagerLogic::earliestStaged() const
+{
+    Tick earliest = maxTick;
+    for (std::uint32_t b = 0; b < banks_; ++b) {
+        if (bankCount_[b] == 0)
+            continue;
+        earliest = std::min(
+            earliest, staging_[static_cast<std::size_t>(b) *
+                                   sys_.numCores() +
+                               merge_[b].winner()]
+                          .front()
+                          .ts);
+    }
+    return earliest;
+}
+
+bool
+ManagerLogic::overflowPending() const
+{
     for (const auto &ov : overflow_)
         if (!ov.empty())
-            return false;
-    return true;
+            return true;
+    return false;
 }
 
 void

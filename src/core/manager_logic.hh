@@ -105,6 +105,14 @@ class ManagerLogic : public Snapshotable
     /** @return true when no staged events or overflow remain. */
     bool drained() const;
 
+    /** @return the least timestamp of any staged (sorted mode, not
+     *  yet serviced) event, or maxTick when nothing is staged. */
+    Tick earliestStaged() const;
+
+    /** @return true while a delivery waits for InQ space in an
+     *  overflow deque, out of sight of its core. */
+    bool overflowPending() const;
+
     /** @return sorted-service staging depth (metrics sampling). */
     std::size_t pendingDepth() const { return stagedCount_; }
 

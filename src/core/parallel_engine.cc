@@ -106,6 +106,7 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     lastRun_.assign(sys_.numCores(),
                     static_cast<std::uint8_t>(CoreRun::Progress));
     inlineLean_ = workerCount_ == 0 && relays_.empty();
+    lookahead_ = std::max<Tick>(1, sys_.uncore().lookahead());
 }
 
 void
@@ -222,8 +223,19 @@ ParallelEngine::runCoreBurst(CoreId c)
             const auto outcome = cc.cycle(
                 max_local,
                 engine_.burstCycles -
-                    static_cast<std::uint32_t>(advanced));
+                    static_cast<std::uint32_t>(advanced),
+                horizonPacing_
+                    ? CoreComplex::StallAccounting::Exact
+                    : CoreComplex::StallAccounting::Idle);
             if (outcome == CoreComplex::CycleOutcome::Backpressure) {
+                if (horizonPacing_) {
+                    // Sorted service only stages what a pump pulls,
+                    // so drain and go on: every core then reaches the
+                    // same clock each round, as stepping would leave
+                    // them.
+                    mgr_.pumpCore(c);
+                    continue;
+                }
                 backpressured = true;
                 break;
             }
@@ -246,11 +258,11 @@ ParallelEngine::runCoreBurst(CoreId c)
     if (inlineLean_) {
         // Single-thread run: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
-        // cadence. A burst that advanced nothing emitted nothing
-        // (backpressure excepted: there the queue is *full*), so the
-        // pump is skipped where the serial engine rescans. Nobody
-        // sleeps on the board, so skip the bump too.
-        if (advanced > 0 || backpressured) {
+        // cadence. A burst that emitted nothing (an idle or skipping
+        // one) leaves the queue empty, so the pump is skipped where
+        // the serial engine rescans. Nobody sleeps on the board, so
+        // skip the bump too.
+        if (!cc.outQ().empty()) {
             obs::Scope push(obs::Phase::QueuePush);
             mgr_.pumpCore(c);
         }
@@ -272,15 +284,23 @@ ParallelEngine::driveInline()
 {
     const CoreId n = sys_.numCores();
     const CoreId start = inlineRotate_;
-    inlineRotate_ = (inlineRotate_ + 1) % n;
     bool progress = false;
+    Tick covered = 1;
     for (CoreId i = 0; i < n; ++i) {
         const CoreId c = static_cast<CoreId>((start + i) % n);
+        const Tick before = sys_.core(c).localTime();
         const CoreRun r = runCoreBurst(c);
         lastRun_[c] = static_cast<std::uint8_t>(r);
         if (r == CoreRun::Progress)
             progress = true;
+        covered = std::max(covered, sys_.core(c).localTime() - before);
     }
+    // Each round starts one core later. A horizon round stands for
+    // one stepped round per cycle it covered, so it rotates as far:
+    // the slack rounds after a speculative replay then see the order
+    // one-cycle replay rounds would have left.
+    inlineRotate_ = static_cast<CoreId>(
+        (start + (horizonPacing_ ? covered % n : 1)) % n);
     return progress;
 }
 
@@ -553,14 +573,59 @@ ParallelEngine::sampleClocks()
     return s;
 }
 
+Tick
+ParallelEngine::sortedHorizon(Tick global) const
+{
+    // A delivery parked in an overflow deque is invisible to its
+    // core's wake hint: step until it reaches the InQ.
+    if (mgr_.overflowPending())
+        return global + 1;
+    Tick eot = mgr_.earliestStaged();
+    for (CoreId c = 0; c < sys_.numCores(); ++c) {
+        const CoreComplex &cc = sys_.core(c);
+        if (!cc.finished())
+            eot = std::min(eot, cc.wakeHint());
+    }
+    if (eot == maxTick)
+        return global + 1; // nothing can ever wake: let the watchdog see
+    // One round runs at most L cycles that can commit, each at most
+    // commitWidth uops per core. Close to a stop or warmup threshold,
+    // a round must end on the very cycle that crosses it.
+    Tick lookahead = lookahead_;
+    const std::uint64_t threshold =
+        warmupPending_ ? engine_.warmupUops : engine_.maxCommittedUops;
+    if (threshold != 0 &&
+        sys_.totalCommittedUops() +
+                std::uint64_t{sys_.numCores()} *
+                    sys_.config().target.core.commitWidth * lookahead >=
+            threshold) {
+        lookahead = 1;
+    }
+    return std::max(global + 1, eot + lookahead);
+}
+
 void
 ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
 {
+    const Tick boundary =
+        ckpt_.enabled() ? ckpt_.nextCheckpointAt() - 1 : maxTick;
+    // Worker threads read the flag mid-burst, so only the lean inline
+    // mode, which has none, ever writes it.
+    if (inlineLean_)
+        horizonPacing_ = pacer_.sortedService();
+    if (horizonPacing_) {
+        // The horizon shrinks near a uop threshold, so it is set, not
+        // only raised. Nobody else reads maxLocal inline.
+        const Tick target =
+            std::min(sortedHorizon(sample.global) - 1, boundary);
+        for (const auto &ctl : controls_)
+            ctl->maxLocal.store(target, std::memory_order_relaxed);
+        return;
+    }
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
-        Tick target =
-            pacer_.maxLocalForCore(c, sample.global, localsScratch_);
-        if (ckpt_.enabled())
-            target = std::min(target, ckpt_.nextCheckpointAt() - 1);
+        const Tick target = std::min(
+            pacer_.maxLocalForCore(c, sample.global, localsScratch_),
+            boundary);
         CoreControl &ctl = *controls_[c];
         const Tick cur = ctl.maxLocal.load(std::memory_order_relaxed);
         if (monotone ? target > cur : target != cur) {
@@ -680,6 +745,7 @@ ParallelEngine::run()
         watchdog_ = wd;
     }
     mgr_.setSorted(pacer_.sortedService());
+    warmupPending_ = engine_.warmupUops > 0;
     if (ckpt_.enabled()) {
         const auto event = ckpt_.takeCheckpoint(0);
         SLACKSIM_ASSERT(event == Checkpointer::Event::Taken,
@@ -708,7 +774,6 @@ ParallelEngine::run()
 
     double last_progress_wall = 0.0;
     Tick last_global = 0;
-    bool warmup_pending = engine_.warmupUops > 0;
 
     for (;;) {
         if (engine_.cancel && engine_.cancel->cancelled()) {
@@ -881,7 +946,7 @@ ParallelEngine::run()
             }
         }
 
-        if (warmup_pending) {
+        if (warmupPending_) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=
@@ -893,13 +958,13 @@ ParallelEngine::run()
                 sys_.resetSimStats();
                 refreshControlAfterRestore();
                 resumeWorld();
-                warmup_pending = false;
+                warmupPending_ = false;
                 ++activity;
             }
         }
 
         // Stop conditions.
-        if (engine_.maxCommittedUops && !warmup_pending) {
+        if (engine_.maxCommittedUops && !warmupPending_) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=

@@ -143,6 +143,16 @@ class ParallelEngine
     /** Publish new pacing limits from a fresh scan; @p monotone false
      *  only while the cores are paused (rollback). */
     void updatePacing(bool monotone);
+    /**
+     * Sorted service in lean inline mode: the conservative-lookahead
+     * horizon H = EOT + L. EOT, the earliest output time, is the
+     * least of the earliest staged request and every unfinished
+     * core's wake hint; L is the uncore lookahead, 1 within one
+     * round's worth of commits of a uop threshold. No message a core
+     * has not yet received can be stamped below H, so every core may
+     * execute every cycle below it. Never below @p global + 1.
+     */
+    Tick sortedHorizon(Tick global) const;
     Tick computeGlobal() const;
     bool quiescedAtBoundary(Tick boundary) const;
     void pauseWorld();
@@ -195,6 +205,15 @@ class ParallelEngine
      *  pacing stores, wake bookkeeping) is pure overhead and skipped
      *  on the hot path. */
     bool inlineLean_ = false;
+    /** Lean inline mode under sorted service (CC or speculative
+     *  replay): pace by sortedHorizon() and account skipped stall
+     *  cycles exactly. Threaded topologies keep one-cycle pacing: the
+     *  manager cannot read the core state their workers own. */
+    bool horizonPacing_ = false;
+    /** max(1, Uncore::lookahead()). */
+    Tick lookahead_ = 1;
+    /** true until warmupUops have committed and stats were reset. */
+    bool warmupPending_ = false;
     std::vector<std::unique_ptr<Relay>> relays_;
     std::vector<Tick> localsScratch_;
     /** Worker handles from the configured TaskRunner: pool threads

@@ -15,9 +15,27 @@
 
 namespace slacksim {
 
+namespace {
+
+Tick
+lookaheadOf(const UncoreParams &p)
+{
+    // The request bus grants no earlier than ts + 1.
+    const Tick snoop = 2;   // grant + 1
+    const Tick upgrade = 3; // grant + 2
+    const Tick fill = 1 +
+                      std::min({p.l2.hitLatency, p.l2.missLatency,
+                                p.c2cLatency}) +
+                      p.busResponseCycles;
+    return std::min({snoop, upgrade, fill, p.syncLatency});
+}
+
+} // namespace
+
 Uncore::Uncore(const UncoreParams &params, UncoreStats *stats,
                ViolationStats *violations)
     : params_(params),
+      lookahead_(lookaheadOf(params)),
       stats_(stats),
       violations_(violations),
       map_(params.mapBanks),
@@ -34,14 +52,26 @@ Uncore::Uncore(const UncoreParams &params, UncoreStats *stats,
 ServiceResult
 Uncore::service(const BusMsg &msg, std::vector<Outbound> &out)
 {
+    const std::size_t first = out.size();
+    ServiceResult result;
     if (isSyncRequest(msg.type)) {
         serviceSync(msg, out);
-        return ServiceResult{};
+    } else {
+        SLACKSIM_ASSERT(isBusRequest(msg.type),
+                        "manager received non-request message ",
+                        msgTypeName(msg.type));
+        result = serviceBusRequest(msg, out);
     }
-    SLACKSIM_ASSERT(isBusRequest(msg.type),
-                    "manager received non-request message ",
-                    msgTypeName(msg.type));
-    return serviceBusRequest(msg, out);
+    // Sorted service paces cores by this bound: a delivery stamped
+    // earlier could reach a core that already simulated past it.
+    for (std::size_t i = first; i < out.size(); ++i) {
+        SLACKSIM_ASSERT(out[i].msg.ts >= msg.ts + lookahead_,
+                        msgTypeName(out[i].msg.type), " at ",
+                        out[i].msg.ts, " for ", msgTypeName(msg.type),
+                        " at ", msg.ts, " breaks lookahead ",
+                        lookahead_);
+    }
+    return result;
 }
 
 void

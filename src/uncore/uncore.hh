@@ -81,6 +81,20 @@ class Uncore : public Snapshotable
      */
     ServiceResult service(const BusMsg &msg, std::vector<Outbound> &out);
 
+    /**
+     * @return the conservative lookahead: the least gap between a
+     * request's timestamp ts and the timestamp of any message its
+     * service delivers, whatever the uncore state or service order.
+     * It is the minimum over every delivery path:
+     *  - snoops and back-invalidations at grant + 1 >= ts + 2;
+     *  - UpgradeAck at grant + 2 >= ts + 3;
+     *  - fills at >= ts + 1 + min(L2 hit, L2 miss, c2c latency)
+     *    + busResponseCycles;
+     *  - sync grants at >= ts + syncLatency.
+     * service() asserts that every outbound message meets it.
+     */
+    Tick lookahead() const { return lookahead_; }
+
     /** Distribution of per-request bus queueing delays (cycles). */
     const Log2Histogram &busQueueHistogram() const
     {
@@ -139,6 +153,7 @@ class Uncore : public Snapshotable
     Tick scheduleResponse(Tick data_ready);
 
     UncoreParams params_;
+    Tick lookahead_;
     UncoreStats *stats_;
     ViolationStats *violations_;
     GlobalCacheMap map_;

@@ -4,10 +4,13 @@
  * in-flight work blocked on inbound messages) must jump its clock to
  * the next relevant time instead of burning one host step per stall
  * cycle, clamp at the pacing limit, and report WaitInbound when
- * free-running with nothing to do.
+ * free-running with nothing to do. Under exact accounting a skip must
+ * leave the same clock and counters as stepping every cycle.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "cache/mesi.hh"
 #include "core/core_complex.hh"
@@ -164,4 +167,109 @@ TEST(CoreComplexSkip, BusyCoreNeverSkips)
         EXPECT_LE(cc.localTime(), before + 4)
             << "unexpected large jump while busy";
     }
+}
+
+namespace {
+
+/**
+ * Answers one complex's requests the way an idle uncore would:
+ * fills (exclusive data, modified on GetM) 40 cycles after the
+ * request, sync grants after 6. @return the requests answered.
+ */
+std::vector<BusMsg>
+answerRequests(CoreComplex &cc)
+{
+    std::vector<BusMsg> requests;
+    BusMsg msg;
+    while (cc.outQ().pop(msg)) {
+        requests.push_back(msg);
+        BusMsg reply;
+        switch (msg.type) {
+          case MsgType::GetS:
+          case MsgType::GetM:
+            reply = fill(msg.addr, msg.ts + 40, msg.cache);
+            if (msg.type == MsgType::GetM)
+                reply.grantState =
+                    static_cast<std::uint8_t>(MesiState::Modified);
+            else if (msg.cache == CacheKind::Instr)
+                reply.grantState =
+                    static_cast<std::uint8_t>(MesiState::Shared);
+            break;
+          case MsgType::LockAcq:
+          case MsgType::BarArrive:
+            reply.type = MsgType::SyncGrant;
+            reply.sync = msg.sync;
+            reply.ts = msg.ts + 6;
+            break;
+          default:
+            continue; // writebacks and releases: no reply
+        }
+        EXPECT_TRUE(cc.inQ().push(reply));
+    }
+    return requests;
+}
+
+} // namespace
+
+TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
+{
+    // Loads and stores to fresh lines fill the ROB, the store buffer
+    // and the MSHRs while their fills are in flight; locks and
+    // barriers stall the ROB head. Every stall counter moves.
+    SimConfig config = oneCoreConfig();
+    TraceProgram prog;
+    prog.codeFootprint = 4096;
+    TraceBuilder b(prog);
+    for (Addr i = 0; i < 60; ++i) {
+        b.load(0x100000 + i * 64, 2);
+        b.compute(3);
+        b.store(0x200000 + (i % 12) * 64);
+        if (i % 15 == 0) {
+            b.lock(0);
+            b.store(0x300000);
+            b.unlock(0);
+        }
+        if (i % 20 == 19)
+            b.barrier(0);
+    }
+    b.end();
+    CoreComplex stepped(config, 0, &prog, 0x10000);
+    CoreComplex skipping(config, 0, &prog, 0x10000);
+
+    std::size_t skip_calls = 0;
+    std::size_t step_calls = 0;
+    while (!skipping.finished() && skip_calls < 100000) {
+        // A generous pacing window: only the core's own wake times
+        // bound the skip.
+        skipping.cycle(skipping.localTime() + 1000, 0xffffffff,
+                       CoreComplex::StallAccounting::Exact);
+        ++skip_calls;
+        while (stepped.localTime() < skipping.localTime() &&
+               !stepped.finished()) {
+            stepped.cycle(stepped.localTime()); // one cycle per call
+            ++step_calls;
+        }
+        ASSERT_EQ(stepped.localTime(), skipping.localTime());
+        ASSERT_TRUE(stepped.stats() == skipping.stats())
+            << "diverged at cycle " << skipping.localTime();
+        const auto want = answerRequests(stepped);
+        const auto got = answerRequests(skipping);
+        ASSERT_EQ(want.size(), got.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(want[i].type, got[i].type);
+            EXPECT_EQ(want[i].addr, got[i].addr);
+            EXPECT_EQ(want[i].ts, got[i].ts);
+        }
+    }
+    EXPECT_TRUE(skipping.finished());
+    EXPECT_TRUE(stepped.finished());
+    const CoreStats &s = skipping.stats();
+    EXPECT_EQ(s.idleCycles, 0u); // exact skips never count idle time
+    for (const std::uint64_t stalls :
+         {s.robFullCycles, s.sbFullCycles, s.syncStallCycles,
+          s.fetchStallCycles}) {
+        EXPECT_GT(stalls, 0u);
+    }
+    // The skipping core spent far fewer calls on the same cycles.
+    EXPECT_LT(skip_calls * 2, step_calls);
 }

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cache/mesi.hh"
@@ -507,3 +510,173 @@ TEST_F(UncoreFixture, BusQueueHistogramTracksEveryRequest)
     EXPECT_EQ(uncore.busQueueHistogram().sum(),
               stats.busQueueingCycles);
 }
+
+namespace {
+
+/** Request-to-delivery gaps of one serviced request, by message type
+ *  (the least gap when a type is delivered more than once). */
+using Gaps = std::map<MsgType, Tick>;
+
+/**
+ * Lookahead cases: every delivery path at the default latencies and
+ * with sync latency 1 and 0. Each case services one request on an
+ * idle bus, long after its setup, so every delivery lands exactly on
+ * its path's bound.
+ */
+class UncoreLookahead : public ::testing::TestWithParam<Tick>
+{
+  protected:
+    static UncoreParams
+    paramsFor(Tick sync_latency)
+    {
+        UncoreParams p = smallUncore();
+        p.syncLatency = sync_latency;
+        return p;
+    }
+
+    /** Service @p msg; check every delivery meets the lookahead.
+     *  @return the gap of each delivered message type. */
+    Gaps
+    serviceGaps(const BusMsg &msg)
+    {
+        out.clear();
+        uncore.service(msg, out);
+        Gaps gaps;
+        for (const Outbound &o : out) {
+            EXPECT_GE(o.msg.ts, msg.ts + uncore.lookahead())
+                << msgTypeName(o.msg.type);
+            const Tick gap = o.msg.ts - msg.ts;
+            auto [it, fresh] = gaps.emplace(o.msg.type, gap);
+            if (!fresh)
+                it->second = std::min(it->second, gap);
+        }
+        return gaps;
+    }
+
+    /** Service a setup request whose deliveries do not matter. */
+    void
+    setup(const BusMsg &msg)
+    {
+        out.clear();
+        uncore.service(msg, out);
+    }
+
+    /** @return five lines that share one L2 set (4 ways). */
+    std::vector<Addr>
+    conflictingLines() const
+    {
+        std::vector<Addr> lines{0x0};
+        const std::uint32_t set = uncore.l2().setIndexOf(0x0);
+        for (Addr a = 64; lines.size() < 5; a += 64) {
+            if (uncore.l2().setIndexOf(a) == set)
+                lines.push_back(a);
+        }
+        return lines;
+    }
+
+    const Tick sync = GetParam();
+    const Tick hit = 1 + 8 + 2;   // grant, L2 hit, response bus
+    const Tick miss = 1 + 100 + 2; // grant, memory, response bus
+    const Tick c2c = 1 + 12 + 2;   // grant, c2c transfer, response bus
+    UncoreStats stats;
+    ViolationStats violations;
+    UncoreParams params = paramsFor(GetParam());
+    Uncore uncore{params, &stats, &violations};
+    std::vector<Outbound> out;
+};
+
+} // namespace
+
+TEST_P(UncoreLookahead, DerivedFromTheFastestPath)
+{
+    // Snoops at grant + 1 bound it unless sync grants are faster.
+    EXPECT_EQ(uncore.lookahead(), std::min<Tick>(2, sync));
+    UncoreParams fast = params;
+    fast.l2.hitLatency = 0;
+    fast.busResponseCycles = 0;
+    fast.syncLatency = 9;
+    EXPECT_EQ(Uncore(fast, &stats, &violations).lookahead(), 1u);
+}
+
+TEST_P(UncoreLookahead, GetSL2Hit)
+{
+    setup(req(MsgType::GetM, 0, 0x1000, 10));
+    setup(req(MsgType::PutM, 0, 0x1000, 20)); // in L2, no owner
+    EXPECT_EQ(serviceGaps(req(MsgType::GetS, 1, 0x1000, 1000)),
+              (Gaps{{MsgType::Fill, hit}}));
+}
+
+TEST_P(UncoreLookahead, GetSL2Miss)
+{
+    EXPECT_EQ(serviceGaps(req(MsgType::GetS, 0, 0x1000, 1000)),
+              (Gaps{{MsgType::Fill, miss}}));
+}
+
+TEST_P(UncoreLookahead, GetSCacheToCache)
+{
+    setup(req(MsgType::GetM, 0, 0x1000, 10));
+    EXPECT_EQ(serviceGaps(req(MsgType::GetS, 1, 0x1000, 1000)),
+              (Gaps{{MsgType::Fill, c2c}, {MsgType::SnoopDown, 2}}));
+}
+
+TEST_P(UncoreLookahead, GetMWithSharers)
+{
+    setup(req(MsgType::GetS, 0, 0x1000, 10));
+    setup(req(MsgType::GetS, 1, 0x1000, 20));
+    EXPECT_EQ(serviceGaps(req(MsgType::GetM, 2, 0x1000, 1000)),
+              (Gaps{{MsgType::Fill, hit}, {MsgType::SnoopInv, 2}}));
+}
+
+TEST_P(UncoreLookahead, UpgradeWithSharers)
+{
+    setup(req(MsgType::GetS, 0, 0x1000, 10));
+    setup(req(MsgType::GetS, 1, 0x1000, 20));
+    EXPECT_EQ(serviceGaps(req(MsgType::Upgrade, 0, 0x1000, 1000)),
+              (Gaps{{MsgType::UpgradeAck, 3}, {MsgType::SnoopInv, 2}}));
+}
+
+TEST_P(UncoreLookahead, PutMThatBackInvalidates)
+{
+    // A writeback of a line the L2 no longer holds installs it and
+    // evicts the set's LRU line, which core 1 still caches.
+    const std::vector<Addr> lines = conflictingLines();
+    for (int i = 0; i < 4; ++i)
+        setup(req(MsgType::GetS, 1, lines[i], 10 + i));
+    EXPECT_EQ(serviceGaps(req(MsgType::PutM, 0, lines[4], 1000)),
+              (Gaps{{MsgType::SnoopInv, 2}}));
+}
+
+TEST_P(UncoreLookahead, FillThatBackInvalidates)
+{
+    const std::vector<Addr> lines = conflictingLines();
+    setup(req(MsgType::GetS, 0, lines[0], 10));
+    for (int i = 1; i < 4; ++i)
+        setup(req(MsgType::GetS, 1, lines[i], 10 + i));
+    EXPECT_EQ(serviceGaps(req(MsgType::GetS, 1, lines[4], 1000)),
+              (Gaps{{MsgType::Fill, miss}, {MsgType::SnoopInv, 2}}));
+}
+
+TEST_P(UncoreLookahead, LockAcquireAndRelease)
+{
+    EXPECT_EQ(serviceGaps(req(MsgType::LockAcq, 0, 0, 1000)),
+              (Gaps{{MsgType::SyncGrant, sync}}));
+    setup(req(MsgType::LockAcq, 1, 0, 1010)); // queued
+    // The release hands the lock to the waiter.
+    EXPECT_EQ(serviceGaps(req(MsgType::LockRel, 0, 0, 2000)),
+              (Gaps{{MsgType::SyncGrant, sync}}));
+}
+
+TEST_P(UncoreLookahead, Barrier)
+{
+    for (CoreId c = 0; c < 3; ++c)
+        setup(req(MsgType::BarArrive, c, 0, 10 + c));
+    EXPECT_EQ(serviceGaps(req(MsgType::BarArrive, 3, 0, 1000)),
+              (Gaps{{MsgType::SyncGrant, sync}}));
+    EXPECT_EQ(out.size(), 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SyncLatencies, UncoreLookahead,
+                         ::testing::Values<Tick>(6, 1, 0),
+                         [](const auto &info) {
+                             return "sync" + std::to_string(info.param);
+                         });
