@@ -180,6 +180,55 @@ const std::map<std::string, std::uint64_t> slackDigests = {
     {"adaptive/pingpong", 0x2f58c0e5a0df3c18ull},
 };
 
+// Core geometries and latencies the defaults never reach, keyed
+// "<variant>/<scheme>/<kernel>"; "cc" is checked on the serial and
+// the inline engine. At the defaults every timer completion arrives
+// in timestamp order; a 3-cycle L1D hit completes after the younger
+// ALU ops issued behind it, so completions arrive out of order.
+const std::map<std::string, std::uint64_t> coreVariantDigests = {
+    {"rob16sb2/cc/barnes", 0x8e21d7fd750084efull},
+    {"rob16sb2/cc/fft", 0x4c2209843d4bacc6ull},
+    {"rob16sb2/cc/pingpong", 0x2b4ae54acbc791fbull},
+    {"rob16sb2/bounded16/barnes", 0x8151f85709764cf9ull},
+    {"rob16sb2/bounded16/fft", 0x88e1788b13ea1dbaull},
+    {"rob16sb2/bounded16/pingpong", 0x4f64c1c629d8c6daull},
+    {"rob16sb2/speculative/barnes", 0x8e21d7fd750084efull},
+    {"rob16sb2/speculative/fft", 0x786caed4b35df6eeull},
+    {"rob16sb2/speculative/pingpong", 0x9b38e451b5e98fabull},
+    {"l1dhit3/cc/barnes", 0x733e3d46cf97b07full},
+    {"l1dhit3/cc/fft", 0x5a7d3a3e105d53d2ull},
+    {"l1dhit3/cc/pingpong", 0x2ccbc1c0f18ea2f4ull},
+    {"l1dhit3/bounded16/barnes", 0xa81c75c87295dd92ull},
+    {"l1dhit3/bounded16/fft", 0x48e59789b523d1ffull},
+    {"l1dhit3/bounded16/pingpong", 0xe4abe06459d583fbull},
+    {"l1dhit3/speculative/barnes", 0x733e3d46cf97b07full},
+    {"l1dhit3/speculative/fft", 0x7c4fbd3408acfa86ull},
+    {"l1dhit3/speculative/pingpong", 0xee39d739b42d7e4bull},
+    {"alu2/cc/barnes", 0x127ba3d267d7d3fdull},
+    {"alu2/cc/fft", 0xdb152bd1cd9d5043ull},
+    {"alu2/cc/pingpong", 0x2ccbc1c0f18ea2f4ull},
+    {"alu2/bounded16/barnes", 0xbd4dac27f3c3ba64ull},
+    {"alu2/bounded16/fft", 0xf42b547a7313b28aull},
+    {"alu2/bounded16/pingpong", 0x0c1c221373d3a44eull},
+    {"alu2/speculative/barnes", 0x127ba3d267d7d3fdull},
+    {"alu2/speculative/fft", 0x86ef82ca6663db05ull},
+    {"alu2/speculative/pingpong", 0x9a530e65e25970c7ull},
+};
+
+SimConfig
+coreVariant(SimConfig c, const std::string &variant)
+{
+    if (variant == "rob16sb2") {
+        c.target.core.robSize = 16;
+        c.target.core.sbSize = 2;
+    } else if (variant == "l1dhit3") {
+        c.target.l1d.hitLatency = 3;
+    } else {
+        c.target.core.aluLatency = 2;
+    }
+    return c;
+}
+
 SimConfig
 slackConfig(const std::string &scheme, const std::string &kernel)
 {
@@ -263,3 +312,31 @@ TEST(SlackGoldenDigest, EveryStatisticOnTheInlineEngine)
         }
     }
 }
+
+class CoreVariantDigest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(CoreVariantDigest, EveryStatisticOnEveryEngine)
+{
+    const std::string variant = GetParam();
+    for (const char *kernel : {"barnes", "fft", "pingpong"}) {
+        const std::string cc = variant + "/cc/" + kernel;
+        SCOPED_TRACE(cc);
+        expectCcDigest(coreVariant(goldenConfig(kernel), variant),
+                       coreVariantDigests.at(cc));
+        for (const char *scheme : {"bounded16", "speculative"}) {
+            const std::string key =
+                variant + "/" + scheme + "/" + kernel;
+            SCOPED_TRACE(key);
+            const SimConfig config =
+                coreVariant(slackConfig(scheme, kernel), variant);
+            EXPECT_EQ(statDigest(runSimulation(config)),
+                      coreVariantDigests.at(key));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(CoreGeometries, CoreVariantDigest,
+                         ::testing::Values("rob16sb2", "l1dhit3", "alu2"),
+                         [](const auto &info) { return info.param; });
