@@ -6,30 +6,24 @@
 #include "cache/l1_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hh"
 
 namespace slacksim {
 
-namespace {
-
-bool
-isPow2(std::uint64_t v)
-{
-    return v && (v & (v - 1)) == 0;
-}
-
-} // namespace
-
 L1Cache::L1Cache(const L1Params &params, CoreId owner, CoreStats *stats)
     : params_(params),
+      lineShift_(static_cast<std::uint32_t>(
+          std::countr_zero(params.lineBytes))),
       owner_(owner),
       stats_(stats),
       lines_(static_cast<std::size_t>(params.sets) * params.ways),
       mshrs_(params.mshrs)
 {
-    SLACKSIM_ASSERT(isPow2(params_.sets), "L1 sets must be a power of 2");
-    SLACKSIM_ASSERT(isPow2(params_.lineBytes),
+    SLACKSIM_ASSERT(std::has_single_bit(params_.sets),
+                    "L1 sets must be a power of 2");
+    SLACKSIM_ASSERT(std::has_single_bit(params_.lineBytes),
                     "L1 line size must be a power of 2");
     SLACKSIM_ASSERT(params_.ways >= 1 && params_.mshrs >= 1,
                     "L1 needs at least one way and one MSHR");
@@ -40,7 +34,7 @@ std::uint32_t
 L1Cache::setIndex(Addr line_addr) const
 {
     return static_cast<std::uint32_t>(
-        (line_addr / params_.lineBytes) & (params_.sets - 1));
+        (line_addr >> lineShift_) & (params_.sets - 1));
 }
 
 L1Cache::Line *

@@ -151,6 +151,7 @@ class L1Cache : public Snapshotable
     void touchLru(Line &line);
 
     L1Params params_;
+    std::uint32_t lineShift_; //!< log2(lineBytes)
     CoreId owner_;
     CoreStats *stats_;
     std::vector<Line> lines_;  //!< sets * ways entries, set-major

@@ -5,6 +5,8 @@
 
 #include "core/config.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace slacksim {
@@ -59,6 +61,16 @@ SimConfig::validate() const
     if (target.numCores < 1 || target.numCores > 64)
         SLACKSIM_FATAL("numCores must be in [1, 64] (uncore sharer ",
                        "masks are 64-bit words)");
+    // Same limit for the core: its issue mask holds one bit per ROB
+    // slot in a 64-bit word, and ROB and store-buffer slots are
+    // indexed by masking the sequence number.
+    if (target.core.robSize < 4 || target.core.robSize > 64 ||
+        !std::has_single_bit(target.core.robSize)) {
+        SLACKSIM_FATAL("robSize must be a power of two in [4, 64] (the ",
+                       "issue mask is a 64-bit word)");
+    }
+    if (!std::has_single_bit(target.core.sbSize))
+        SLACKSIM_FATAL("sbSize must be a power of two");
     if (workload.numThreads != target.numCores)
         SLACKSIM_FATAL("workload threads (", workload.numThreads,
                        ") must match target cores (", target.numCores,

@@ -30,8 +30,6 @@ SimSystem::SimSystem(const SimConfig &config)
     up.busResponseCycles = config_.target.busResponseCycles;
     up.numLocks = workload_.numLocks;
     up.numBarriers = workload_.numBarriers;
-    up.mapBanks =
-        std::max<std::uint32_t>(1, config_.engine.managerBanks);
     uncore_ = std::make_unique<Uncore>(up, &uncoreStats_, &violations_);
 
     AddressSpace space(config_.target.numCores);

@@ -6,8 +6,7 @@
 
 #include "cpu/ooo_core.hh"
 
-#include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "util/logging.hh"
 
@@ -24,14 +23,22 @@ OooCore::OooCore(const CoreParams &params, CoreId id,
       stats_(stats),
       codeBase_(code_base),
       rob_(params.robSize),
+      robMask_(params.robSize - 1),
+      sbMask_(params.sbSize - 1),
+      pending_(params.robSize),
       sb_(params.sbSize)
 {
     SLACKSIM_ASSERT(trace_ && l1d_ && l1i_ && stats_,
                     "OooCore missing a collaborator");
     SLACKSIM_ASSERT(params_.robSize >= 4 && params_.sbSize >= 1,
                     "degenerate core geometry");
+    // One issue-mask bit per ROB slot; slots are indexed by mask.
+    SLACKSIM_ASSERT(params_.robSize <= 64 &&
+                        std::has_single_bit(params_.robSize) &&
+                        std::has_single_bit(params_.sbSize),
+                    "ROB (<= 64) and store-buffer sizes must be powers "
+                    "of two");
     SLACKSIM_ASSERT(!trace_->instrs.empty(), "empty trace program");
-    pending_.reserve(params_.robSize);
 }
 
 bool
@@ -75,45 +82,51 @@ OooCore::earliestSelfWake() const
 {
     // pending_ holds exactly the timer-completed uops still in
     // flight; every ripe entry was popped by this cycle's writeback,
-    // so the top is the earliest strictly-future completion.
-    return pending_.empty() ? maxTick : pending_.front().first;
+    // so the front is the earliest strictly-future completion.
+    return pendingHead_ == pendingTail_
+               ? maxTick
+               : pending_[pendingHead_ & robMask_].first;
 }
 
 void
 OooCore::pushPending(Tick done_at, SeqNum seq)
 {
-    pending_.emplace_back(done_at, seq);
-    std::push_heap(pending_.begin(), pending_.end(),
-                   std::greater<>{});
+    // Shift later completions back one slot until the new one fits.
+    std::uint64_t i = pendingTail_++;
+    for (; i != pendingHead_; --i) {
+        const auto &prev = pending_[(i - 1) & robMask_];
+        if (prev.first <= done_at)
+            break;
+        pending_[i & robMask_] = prev;
+    }
+    pending_[i & robMask_] = {done_at, seq};
 }
 
 void
-OooCore::rebuildPending()
+OooCore::rebuildDerived()
 {
-    pending_.clear();
+    unissued_ = 0;
+    pendingHead_ = pendingTail_ = 0;
     for (SeqNum s = headSeq_; s != tailSeq_; ++s) {
         const RobEntry &e = slot(s);
-        if (e.issued && !e.done && !e.waitingFill &&
-            e.doneAt != maxTick) {
-            pending_.emplace_back(e.doneAt, e.seq);
-        }
+        if (!e.issued)
+            unissued_ |= std::uint64_t{1} << (s & robMask_);
+        else if (!e.done && !e.waitingFill && e.doneAt != maxTick)
+            pushPending(e.doneAt, e.seq);
     }
-    std::make_heap(pending_.begin(), pending_.end(),
-                   std::greater<>{});
+    codeOffset_ = (pcCursor_ * 4) % trace_->codeFootprint;
 }
 
 void
 OooCore::writeback(Tick now)
 {
-    while (!pending_.empty() && pending_.front().first <= now) {
-        const SeqNum seq = pending_.front().second;
-        std::pop_heap(pending_.begin(), pending_.end(),
-                      std::greater<>{});
-        pending_.pop_back();
+    while (pendingHead_ != pendingTail_ &&
+           pending_[pendingHead_ & robMask_].first <= now) {
+        const SeqNum seq = pending_[pendingHead_++ & robMask_].second;
         RobEntry &e = slot(seq);
         SLACKSIM_ASSERT(e.seq == seq && e.issued && !e.done &&
                             !e.waitingFill,
-                        "stale completion-heap entry");
+                        "stale completion-ring entry");
         e.done = 1;
         ++doneCount_;
     }
@@ -133,7 +146,7 @@ OooCore::commit(Tick)
                 ++stats_->sbFullCycles;
                 return;
             }
-            sb_[sbTail_ % params_.sbSize].addr = e.addr;
+            sb_[sbTail_ & sbMask_].addr = e.addr;
             ++sbTail_;
             ++stats_->committedStores;
         } else if (e.kind == UopKind::Load) {
@@ -151,7 +164,7 @@ OooCore::drainStoreBuffer(Tick now, std::vector<BusMsg> &out)
 {
     if (sbEmpty() || sbWaitingFill_)
         return;
-    const Addr addr = sb_[sbHead_ % params_.sbSize].addr;
+    const Addr addr = sb_[sbHead_ & sbMask_].addr;
     switch (l1d_->accessStore(addr, now, out)) {
       case L1Result::Hit:
         ++sbHead_;
@@ -220,18 +233,17 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
 {
     std::uint32_t issued = 0;
     std::uint32_t load_ports = params_.loadPorts;
-    // Everything older than the cursor is already issued and would be
-    // skipped by the scan below; resume from it instead of the head.
-    if (firstUnissued_ < headSeq_)
-        firstUnissued_ = headSeq_;
-    while (firstUnissued_ != tailSeq_ && slot(firstUnissued_).issued)
-        ++firstUnissued_;
-    for (SeqNum s = firstUnissued_; s != tailSeq_; ++s) {
+    // Rotating the mask right by the head's slot puts the unissued
+    // slots in program order: those at or above the head first, then
+    // (in the top bits) those the ring wrapped below it.
+    const auto head = static_cast<int>(headSeq_ & robMask_);
+    for (std::uint64_t order = std::rotr(unissued_, head); order != 0;
+         order &= order - 1) {
         if (issued >= params_.issueWidth)
             return;
-        RobEntry &e = slot(s);
-        if (e.issued)
-            continue;
+        const auto index = static_cast<std::uint16_t>(
+            (head + std::countr_zero(order)) & 63);
+        RobEntry &e = rob_[index];
         switch (e.kind) {
           case UopKind::Alu: {
             if (e.depSeq != 0 && e.depSeq >= headSeq_) {
@@ -251,8 +263,7 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
                 continue;
             L1Waiter waiter;
             waiter.kind = L1Waiter::Kind::LoadRob;
-            waiter.index =
-                static_cast<std::uint16_t>(s % params_.robSize);
+            waiter.index = index;
             switch (l1d_->accessLoad(e.addr, waiter, now, out)) {
               case L1Result::Hit:
                 e.issued = 1;
@@ -265,7 +276,7 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
               case L1Result::Miss:
               case L1Result::Merged:
                 // Completed by the fill path, not a timer: stays out
-                // of the completion heap.
+                // of the completion ring.
                 e.issued = 1;
                 e.waitingFill = 1;
                 ++issuedCount_;
@@ -293,12 +304,14 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
             // scheduler skips them, and park doneAt at infinity so
             // writeback() never completes them — only the sync grant
             // path may. Infinite doneAt also keeps them out of the
-            // completion heap.
+            // completion ring.
             e.issued = 1;
             e.doneAt = maxTick;
             ++issuedCount_;
             break;
         }
+        if (e.issued)
+            unissued_ &= ~(std::uint64_t{1} << index);
     }
 }
 
@@ -316,8 +329,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
 
     // One instruction-cache probe per cycle for the current fetch
     // group's line.
-    const Addr pc =
-        codeBase_ + (pcCursor_ * 4) % trace_->codeFootprint;
+    const Addr pc = codeBase_ + codeOffset_;
     switch (l1i_->accessFetch(pc, now, out)) {
       case L1Result::Hit:
         break;
@@ -338,8 +350,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
             return;
         }
         // Stay within the fetched line.
-        const Addr cur_pc =
-            codeBase_ + (pcCursor_ * 4) % trace_->codeFootprint;
+        const Addr cur_pc = codeBase_ + codeOffset_;
         if (l1i_->lineAddr(cur_pc) != line && n > 0)
             return;
         if (traceIndex_ >= trace_->instrs.size())
@@ -395,6 +406,9 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
         if (!advanced)
             return;
         ++pcCursor_;
+        codeOffset_ += 4;
+        if (codeOffset_ >= trace_->codeFootprint)
+            codeOffset_ %= trace_->codeFootprint;
     }
 }
 
@@ -411,6 +425,7 @@ OooCore::dispatchUop(UopKind kind, Addr addr, std::uint16_t sync,
     e.sync = sync;
     e.seq = tailSeq_;
     e.depSeq = dep_seq;
+    unissued_ |= std::uint64_t{1} << (tailSeq_ & robMask_);
     ++tailSeq_;
     return true;
 }
@@ -436,9 +451,9 @@ OooCore::handleInbound(const BusMsg &msg, Tick now,
       case MsgType::UpgradeAck: {
         L1Cache *cache =
             msg.cache == CacheKind::Instr ? l1i_ : l1d_;
-        std::vector<L1Waiter> waiters;
-        cache->applyFill(msg, now, out, waiters);
-        for (const L1Waiter &w : waiters) {
+        fillWaiters_.clear();
+        cache->applyFill(msg, now, out, fillWaiters_);
+        for (const L1Waiter &w : fillWaiters_) {
             switch (w.kind) {
               case L1Waiter::Kind::LoadRob: {
                 RobEntry &e = rob_[w.index];
@@ -459,7 +474,7 @@ OooCore::handleInbound(const BusMsg &msg, Tick now,
                 // cores fighting over a line can invalidate each
                 // other's fills forever (store livelock).
                 if (!sbEmpty()) {
-                    const Addr a = sb_[sbHead_ % params_.sbSize].addr;
+                    const Addr a = sb_[sbHead_ & sbMask_].addr;
                     if (l1d_->lineAddr(a) == msg.addr &&
                         l1d_->accessStore(a, now, out) ==
                             L1Result::Hit) {
@@ -543,8 +558,7 @@ OooCore::restore(SnapshotReader &reader)
                         sb_.size() == params_.sbSize,
                     "core snapshot geometry mismatch");
     // Derived accelerator state: rebuild rather than serialize.
-    rebuildPending();
-    firstUnissued_ = headSeq_;
+    rebuildDerived();
 }
 
 } // namespace slacksim

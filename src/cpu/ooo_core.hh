@@ -30,8 +30,8 @@ struct CoreParams
     std::uint32_t fetchWidth = 4;
     std::uint32_t issueWidth = 4;
     std::uint32_t commitWidth = 4;
-    std::uint32_t robSize = 64;
-    std::uint32_t sbSize = 8;
+    std::uint32_t robSize = 64; //!< power of two, at most 64
+    std::uint32_t sbSize = 8;   //!< power of two
     std::uint32_t loadPorts = 2;
     Tick aluLatency = 1;
 };
@@ -140,11 +140,11 @@ class OooCore : public Snapshotable
 
     Fingerprint fingerprint() const;
 
-    RobEntry &slot(SeqNum seq) { return rob_[seq % params_.robSize]; }
+    RobEntry &slot(SeqNum seq) { return rob_[seq & robMask_]; }
     const RobEntry &
     slot(SeqNum seq) const
     {
-        return rob_[seq % params_.robSize];
+        return rob_[seq & robMask_];
     }
 
     bool robFull() const { return tailSeq_ - headSeq_ >= params_.robSize; }
@@ -154,7 +154,7 @@ class OooCore : public Snapshotable
 
     void writeback(Tick now);
     void pushPending(Tick done_at, SeqNum seq);
-    void rebuildPending();
+    void rebuildDerived();
     void commit(Tick now);
     void drainStoreBuffer(Tick now, std::vector<BusMsg> &out);
     void handleHeadSync(Tick now, std::vector<BusMsg> &out);
@@ -175,24 +175,34 @@ class OooCore : public Snapshotable
     std::vector<RobEntry> rob_;
     SeqNum headSeq_ = 1;
     SeqNum tailSeq_ = 1;
+    /** ROB and store-buffer sizes are powers of two: slot = seq & mask. */
+    std::uint64_t robMask_;
+    std::uint64_t sbMask_;
 
     /**
-     * Min-heap of (doneAt, seq) for every issued-but-incomplete uop
-     * whose completion is a pure timer (Alu, Store address-gen, Load
-     * hits). Load misses (completed by fills) and sync ops (completed
-     * by grants) are never pushed, so a popped entry is always live:
-     * writeback() pops ripe entries instead of scanning the ROB, and
-     * earliestSelfWake() reads the top in O(1). Rebuilt on restore.
+     * One bit per ROB slot that holds a dispatched-but-unissued uop.
+     * issue() visits only these, in program order from the head's
+     * slot. Derived state: rebuilt on restore.
+     */
+    std::uint64_t unissued_ = 0;
+
+    /**
+     * Ring of (doneAt, seq), sorted by doneAt, for every issued-but-
+     * incomplete uop whose completion is a pure timer (Alu, Store
+     * address-gen, Load hits). Load misses (completed by fills) and
+     * sync ops (completed by grants) are never pushed, so a popped
+     * entry is always live: writeback() pops ripe entries from the
+     * front and earliestSelfWake() reads the front. pushPending()
+     * inserts from the back, in O(1) when completions arrive in
+     * timestamp order. Holds at most one entry per ROB slot, so it
+     * shares robMask_. Derived state: rebuilt on restore.
      */
     std::vector<std::pair<Tick, SeqNum>> pending_;
+    std::uint64_t pendingHead_ = 0; //!< free-running front index
+    std::uint64_t pendingTail_ = 0; //!< free-running back index
 
-    /**
-     * Issue-scan cursor: every ROB entry older than this is issued.
-     * issue() resumes here instead of rescanning from the head (the
-     * skipped prefix would be `continue`d anyway). Derived state:
-     * reset to headSeq_ on restore.
-     */
-    SeqNum firstUnissued_ = 1;
+    /** Waiters woken by one fill; reused across handleInbound(). */
+    std::vector<L1Waiter> fillWaiters_;
 
     std::vector<SbEntry> sb_;
     std::uint64_t sbHead_ = 0;
@@ -202,6 +212,9 @@ class OooCore : public Snapshotable
     std::uint64_t traceIndex_ = 0;
     std::uint32_t intraOffset_ = 0;
     std::uint64_t pcCursor_ = 0;
+    /** (pcCursor_ * 4) % codeFootprint, kept incrementally. Derived
+     *  state: recomputed on restore. */
+    Addr codeOffset_ = 0;
     std::uint8_t fetchWaitingFill_ = 0;
     SeqNum lastLoadSeq_ = 0;
 

@@ -16,8 +16,6 @@
 namespace slacksim {
 namespace fault {
 
-thread_local FaultPlan *FaultPlan::activePlan_ = nullptr;
-
 namespace {
 
 struct KindEntry

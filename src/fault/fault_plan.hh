@@ -224,7 +224,7 @@ class FaultPlan
     void record(const Slot &slot, Tick cycle, std::string detail);
 
     friend class ScopedFaultPlan;
-    static thread_local FaultPlan *activePlan_;
+    static inline thread_local FaultPlan *activePlan_ = nullptr;
 
     std::vector<FaultSpec> specs_;
     std::uint64_t seed_;

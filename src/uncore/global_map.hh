@@ -10,8 +10,10 @@
 #ifndef SLACKSIM_UNCORE_GLOBAL_MAP_HH
 #define SLACKSIM_UNCORE_GLOBAL_MAP_HH
 
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/snapshot.hh"
@@ -37,29 +39,20 @@ struct MapEntry
 };
 
 /**
- * The global cache status map, split into per-address-range banks
- * (EngineConfig::managerBanks). Banking changes the physical layout
- * only: lookups route by line range, while save() serializes all
- * banks in one globally sorted address order, so identical logical
- * states produce identical snapshot bytes for every bank count.
+ * The global cache status map. Lines live in address-ordered pages of
+ * 256 consecutive lines, found by page number through a one-entry
+ * last-page cache and, on a miss, a binary search. An entry never
+ * moves once created, so a MapEntry & stays valid while other lines
+ * are inserted. save() walks the pages in address order, so identical
+ * logical states always produce identical snapshot bytes. Only the
+ * manager thread touches the map.
  */
 class GlobalCacheMap : public Snapshotable
 {
   public:
-    explicit GlobalCacheMap(std::uint32_t banks = 1)
-        : banks_(banks < 1 ? 1 : banks), map_(banks_)
-    {
-    }
-
-    /** @return the number of address-range banks. */
-    std::uint32_t banks() const { return banks_; }
-
-    /** @return the bank of @p line (same hash as the service banks). */
-    std::uint32_t
-    bankOf(Addr line) const
-    {
-        return static_cast<std::uint32_t>((line >> 6) % banks_);
-    }
+    /** @param line_bytes coherence line size (a power of two); every
+     *  key is a line address, a multiple of it. */
+    explicit GlobalCacheMap(std::uint32_t line_bytes = 64);
 
     /** @return the entry for @p line, creating it when absent. */
     MapEntry &entry(Addr line);
@@ -70,15 +63,8 @@ class GlobalCacheMap : public Snapshotable
     /** Drop an entry that became empty. */
     void eraseIfEmpty(Addr line);
 
-    /** @return number of tracked lines (all banks). */
-    std::size_t
-    size() const
-    {
-        std::size_t n = 0;
-        for (const auto &bank : map_)
-            n += bank.size();
-        return n;
-    }
+    /** @return number of tracked lines. */
+    std::size_t size() const { return size_; }
 
     /**
      * Record a transition for violation detection: returns true when
@@ -108,9 +94,69 @@ class GlobalCacheMap : public Snapshotable
     void restore(SnapshotReader &reader) override;
 
   private:
-    std::uint32_t banks_ = 1;
-    /** One hash map per address-range bank. */
-    std::vector<std::unordered_map<Addr, MapEntry>> map_;
+    static constexpr std::uint32_t pageShift = 8;
+    static constexpr std::uint32_t pageLines = 1u << pageShift;
+
+    /** 256 consecutive lines; a slot is live while its bit is set. */
+    struct Page
+    {
+        std::uint64_t present[pageLines / 64] = {};
+        MapEntry entries[pageLines];
+
+        bool
+        has(std::uint32_t slot) const
+        {
+            return (present[slot / 64] >> (slot % 64)) & 1;
+        }
+    };
+
+    /** Where a line lives: its page number and its slot there. */
+    struct Location
+    {
+        std::uint64_t page;
+        std::uint32_t slot;
+    };
+
+    Location
+    locate(Addr line) const
+    {
+        const Addr index = line >> lineShift_;
+        return {index >> pageShift,
+                static_cast<std::uint32_t>(index % pageLines)};
+    }
+
+    /** @return the page numbered @p number, or nullptr. */
+    Page *findPage(std::uint64_t number);
+    const Page *findPage(std::uint64_t number) const;
+
+    /** @return the page numbered @p number, creating it when absent. */
+    Page &page(std::uint64_t number);
+
+    /** Call @p fn(line, entry) for every live line in address order. */
+    template <typename Fn>
+    void
+    forEachLine(Fn &&fn) const
+    {
+        for (const auto &[number, p] : pages_) {
+            for (std::uint32_t w = 0; w < pageLines / 64; ++w) {
+                for (std::uint64_t bits = p->present[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const auto slot = static_cast<std::uint32_t>(
+                        w * 64 + std::countr_zero(bits));
+                    fn(((number << pageShift) | slot) << lineShift_,
+                       p->entries[slot]);
+                }
+            }
+        }
+    }
+
+    std::uint32_t lineShift_;
+    /** Sorted by page number; a Page never moves once allocated. */
+    std::vector<std::pair<std::uint64_t, std::unique_ptr<Page>>> pages_;
+    /** The last page entry() touched; no page has number ~0. */
+    std::uint64_t lastNumber_ = ~std::uint64_t{0};
+    Page *lastPage_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 } // namespace slacksim

@@ -5,22 +5,16 @@
 
 #include "uncore/l2_tags.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace slacksim {
 
-namespace {
-
-bool
-isPow2(std::uint64_t v)
-{
-    return v && (v & (v - 1)) == 0;
-}
-
-} // namespace
-
 L2Tags::L2Tags(const L2Params &params)
-    : params_(params)
+    : params_(params),
+      lineShift_(static_cast<std::uint32_t>(
+          std::countr_zero(params.lineBytes)))
 {
     const std::uint64_t total_lines =
         std::uint64_t{params_.totalKb} * 1024 / params_.lineBytes;
@@ -28,8 +22,11 @@ L2Tags::L2Tags(const L2Params &params)
                     "L2 geometry does not divide evenly");
     totalSets_ = static_cast<std::uint32_t>(total_lines / params_.ways);
     setsPerBank_ = totalSets_ / params_.banks;
-    SLACKSIM_ASSERT(isPow2(totalSets_) && isPow2(params_.banks),
-                    "L2 sets and banks must be powers of two");
+    SLACKSIM_ASSERT(std::has_single_bit(totalSets_) &&
+                        std::has_single_bit(params_.banks) &&
+                        std::has_single_bit(params_.lineBytes),
+                    "L2 sets, banks and line size must be powers of two");
+    setBits_ = static_cast<std::uint32_t>(std::countr_zero(totalSets_));
     lines_.resize(total_lines);
 }
 
@@ -40,14 +37,11 @@ L2Tags::setIndex(Addr line) const
     // indexing maps any large power-of-two stride — per-thread code
     // and private regions live at such strides — onto a single set,
     // which with >ways cores thrashes one set with back-invalidations.
-    std::uint64_t x = line / params_.lineBytes;
-    std::uint32_t bits = 0;
-    while ((1u << bits) < totalSets_)
-        ++bits;
+    std::uint64_t x = line >> lineShift_;
     std::uint64_t folded = 0;
     while (x) {
         folded ^= x;
-        x >>= bits;
+        x >>= setBits_;
     }
     return static_cast<std::uint32_t>(folded & (totalSets_ - 1));
 }
@@ -55,8 +49,8 @@ L2Tags::setIndex(Addr line) const
 std::uint32_t
 L2Tags::bank(Addr line) const
 {
-    return static_cast<std::uint32_t>(
-        (line / params_.lineBytes) & (params_.banks - 1));
+    return static_cast<std::uint32_t>((line >> lineShift_) &
+                                      (params_.banks - 1));
 }
 
 L2Tags::Line *

@@ -94,6 +94,8 @@ class L2Tags : public Snapshotable
     const Line *find(Addr line) const;
 
     L2Params params_;
+    std::uint32_t lineShift_; //!< log2(lineBytes)
+    std::uint32_t setBits_;   //!< log2(totalSets_)
     std::uint32_t setsPerBank_;
     std::uint32_t totalSets_;
     std::vector<Line> lines_;

@@ -38,7 +38,7 @@ Uncore::Uncore(const UncoreParams &params, UncoreStats *stats,
       lookahead_(lookaheadOf(params)),
       stats_(stats),
       violations_(violations),
-      map_(params.mapBanks),
+      map_(params.l2.lineBytes),
       l2_(params.l2),
       sync_(params.numLocks, params.numBarriers, params.numCores,
             params.syncLatency, stats),
@@ -346,9 +346,9 @@ Uncore::serviceBusRequest(const BusMsg &msg, std::vector<Outbound> &out)
 void
 Uncore::serviceSync(const BusMsg &msg, std::vector<Outbound> &out)
 {
-    std::vector<SyncGrantMsg> grants;
-    sync_.handle(msg, grants);
-    for (const auto &g : grants) {
+    grants_.clear();
+    sync_.handle(msg, grants_);
+    for (const auto &g : grants_) {
         Outbound o;
         o.dst = g.dst;
         o.msg.type = MsgType::SyncGrant;

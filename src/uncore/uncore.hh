@@ -47,9 +47,6 @@ struct UncoreParams
     Tick busResponseCycles = 2;  //!< response-bus occupancy per data
     std::uint32_t numLocks = 0;
     std::uint32_t numBarriers = 0;
-    /** Address-range banks of the global cache status map (>= 1);
-     *  mirrors EngineConfig::managerBanks. */
-    std::uint32_t mapBanks = 1;
 };
 
 /** A message the uncore wants delivered to a core's InQ. */
@@ -165,6 +162,7 @@ class Uncore : public Snapshotable
     Tick reqBusFreeAt_ = 0;
     Tick respBusFreeAt_ = 0;
     std::vector<Tick> bankFreeAt_;
+    std::vector<SyncGrantMsg> grants_; //!< reused by serviceSync()
     SeqNum nextSeq_ = 0;
     Log2Histogram busQueueHist_;
     bool countViolations_ = true; //!< engine-controlled, not snapshot

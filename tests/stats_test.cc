@@ -137,6 +137,24 @@ TEST(ConfigValidation, RejectsBadGeometry)
     config.target.l1d.lineBytes = 32; // mismatched with L2
     EXPECT_DEATH(config.validate(), "line sizes");
 
+    // The issue mask is one 64-bit word; ROB and store-buffer slots
+    // are indexed by mask.
+    for (const std::uint32_t rob : {128u, 48u, 2u}) {
+        SimConfig core;
+        core.workload.numThreads = core.target.numCores;
+        core.target.core.robSize = rob;
+        EXPECT_DEATH(core.validate(), "robSize") << rob;
+    }
+    SimConfig sb;
+    sb.workload.numThreads = sb.target.numCores;
+    sb.target.core.sbSize = 6;
+    EXPECT_DEATH(sb.validate(), "sbSize");
+    sb.target.core.sbSize = 0;
+    EXPECT_DEATH(sb.validate(), "sbSize");
+    sb.target.core.sbSize = 2;
+    sb.target.core.robSize = 16;
+    sb.validate(); // the smallest geometry in the tests must not die
+
     SimConfig quantum;
     quantum.workload.numThreads = quantum.target.numCores;
     quantum.engine.scheme = SchemeKind::Quantum;

@@ -369,6 +369,164 @@ TEST(GlobalCacheMap, MonitorAndInvariants)
 
 namespace {
 
+/**
+ * Lines in the code, shared and private regions (the AddressSpace
+ * bases for threads 0 and 3), so that they land on separate map
+ * pages, plus the last line of one page and the first of the next.
+ */
+std::vector<Addr>
+regionLines()
+{
+    std::vector<Addr> lines;
+    for (const Addr t : {0ull, 3ull}) {
+        lines.push_back(0x1'0000'0000ull + t * 0x1000'0000ull);
+        lines.push_back(0x8000'0000'0000ull + t * 0x4000'0000ull + 64);
+    }
+    lines.push_back(0x4000'0000'0000ull);
+    lines.push_back(0x4000'0000'0000ull + 255 * 64);
+    lines.push_back(0x4000'0000'0000ull + 256 * 64);
+    return lines;
+}
+
+/** A distinct, non-empty entry per line. */
+MapEntry
+entryFor(Addr line)
+{
+    MapEntry e;
+    e.dSharers = (line >> 6) | 1;
+    e.iSharers = line >> 12;
+    e.lastTouch = static_cast<CoreId>(line % 7);
+    e.monitorTs = line ^ 0x5a5a;
+    return e;
+}
+
+/** The snapshot layout every map must produce: the marker, the line
+ *  count, then each (line, entry) pair in ascending address order. */
+std::vector<std::uint8_t>
+sortedLayout(const std::map<Addr, MapEntry> &entries)
+{
+    SnapshotWriter w;
+    w.putMarker(0x6d41);
+    w.put<std::uint64_t>(entries.size());
+    for (const auto &[line, e] : entries) {
+        w.put(line);
+        w.put(e);
+    }
+    return w.bytes();
+}
+
+std::vector<std::uint8_t>
+saved(const GlobalCacheMap &map)
+{
+    SnapshotWriter w;
+    map.save(w);
+    return w.bytes();
+}
+
+} // namespace
+
+TEST(GlobalCacheMap, FindOfAnAbsentLineCreatesNothing)
+{
+    GlobalCacheMap map;
+    const std::vector<Addr> lines = regionLines();
+    map.entry(lines[0]);
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        EXPECT_EQ(map.find(lines[i]), nullptr) << std::hex << lines[i];
+    // So is a neighbour on the page that holds a line.
+    EXPECT_EQ(map.find(lines[0] + 64), nullptr);
+    EXPECT_EQ(map.size(), 1u);
+    EXPECT_NE(map.find(lines[0]), nullptr);
+}
+
+TEST(GlobalCacheMap, EntriesStayPutWhileOtherPagesGrow)
+{
+    GlobalCacheMap map;
+    const std::vector<Addr> lines = regionLines();
+    std::vector<MapEntry *> refs;
+    for (const Addr line : lines) {
+        MapEntry &e = map.entry(line);
+        e = entryFor(line);
+        refs.push_back(&e);
+        // Every earlier reference is still the same, intact entry.
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            EXPECT_EQ(map.find(lines[i]), refs[i]);
+            EXPECT_EQ(refs[i]->monitorTs, entryFor(lines[i]).monitorTs);
+        }
+        EXPECT_EQ(&map.entry(line), &e); // no second entry
+    }
+    EXPECT_EQ(map.size(), lines.size());
+}
+
+TEST(GlobalCacheMap, SaveIsTheSortedAddressLayout)
+{
+    GlobalCacheMap map;
+    std::map<Addr, MapEntry> expect;
+    // Insert in descending order so that the save must sort.
+    std::vector<Addr> lines = regionLines();
+    std::sort(lines.rbegin(), lines.rend());
+    for (const Addr line : lines) {
+        map.entry(line) = entryFor(line);
+        expect[line] = entryFor(line);
+    }
+    const std::vector<std::uint8_t> bytes = saved(map);
+    EXPECT_EQ(bytes, sortedLayout(expect));
+
+    // The same bytes after restoring into a map that held other
+    // lines, and into a fresh one.
+    GlobalCacheMap other;
+    other.entry(0x2'0000'0040ull) = entryFor(0x40);
+    other.entry(lines.back()) = entryFor(0x80);
+    for (GlobalCacheMap *target : {&other, &map}) {
+        SnapshotReader r(bytes);
+        target->restore(r);
+        EXPECT_TRUE(r.exhausted());
+        EXPECT_EQ(saved(*target), bytes);
+        EXPECT_EQ(target->size(), lines.size());
+    }
+    GlobalCacheMap fresh;
+    SnapshotReader r(bytes);
+    fresh.restore(r);
+    EXPECT_EQ(saved(fresh), bytes);
+    EXPECT_EQ(other.find(0x2'0000'0040ull), nullptr);
+}
+
+TEST(GlobalCacheMap, EraseKeepsOtherLinesFindable)
+{
+    GlobalCacheMap map;
+    const std::vector<Addr> lines = regionLines();
+    for (const Addr line : lines)
+        map.entry(line);
+    map.entry(lines[2]).owner = 1; // not empty: must survive an erase
+    map.entry(lines[2]).dSharers = 1ull << 1;
+    for (std::size_t i = 0; i < lines.size(); i += 2)
+        map.eraseIfEmpty(lines[i]);
+    EXPECT_EQ(map.size(), lines.size() / 2 + 1);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        const bool kept = i % 2 == 1 || i == 2;
+        EXPECT_EQ(map.find(lines[i]) != nullptr, kept) << i;
+    }
+    // A re-created line starts empty.
+    EXPECT_TRUE(map.entry(lines[0]).empty());
+    EXPECT_EQ(map.entry(lines[0]).monitorTs, 0u);
+}
+
+TEST(GlobalCacheMapDeath, CheckInvariantsVisitsEveryLine)
+{
+    for (const Addr bad : regionLines()) {
+        GlobalCacheMap map;
+        for (const Addr line : regionLines())
+            map.entry(line);
+        map.checkInvariants();
+        MapEntry &e = map.entry(bad);
+        e.owner = 1;
+        e.dSharers = (1ull << 1) | (1ull << 2); // a foreign D sharer
+        EXPECT_DEATH(map.checkInvariants(), "foreign D sharers")
+            << std::hex << bad;
+    }
+}
+
+namespace {
+
 /** Find addresses beyond `start` mapping to the same L2 set (the
  *  index is hashed, so conflicts are discovered, not computed). */
 std::vector<Addr>
