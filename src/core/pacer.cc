@@ -112,9 +112,12 @@ Pacer::maxLocalForCore(CoreId core, Tick global_time,
     if (global_time >= nextShuffleAt_)
         shufflePeers(global_time);
     // A core may run ahead of its randomly chosen peer by at most the
-    // slack bound. The slowest core's peer is always >= the global
-    // minimum, so the slowest core can always run: deadlock-free.
-    return locals[peers_[core]] + bound_;
+    // slack bound. A finished peer's clock stops, possibly below the
+    // global minimum, and pacing against it would freeze the core
+    // until a reshuffle that global time, stuck with it, never
+    // reaches. Clamped to the global minimum, the slowest core's
+    // limit is always >= its own clock: deadlock-free.
+    return std::max(locals[peers_[core]], global_time) + bound_;
 }
 
 bool

@@ -45,7 +45,8 @@ class Pacer : public Snapshotable
      * Per-core pacing limit. Global schemes ignore @p core and
      * @p locals; Lax-P2P paces core i against its current random
      * peer's local clock (@p locals) instead of the global minimum,
-     * re-pairing every p2pShufflePeriod cycles.
+     * re-pairing every p2pShufflePeriod cycles. A peer clock below
+     * @p global_time (a finished peer's) counts as @p global_time.
      */
     Tick maxLocalForCore(CoreId core, Tick global_time,
                          const std::vector<Tick> &locals);

@@ -160,9 +160,13 @@ ParallelEngine::runCoreBurst(CoreId c)
 
     if (cc.finished()) {
         if (!ctl.finished.load(std::memory_order_relaxed)) {
-            ctl.finished.store(true, std::memory_order_release);
+            // Count first: a reader that sees the flag sees the final
+            // count.
             ctl.committed.store(cc.committedUops(),
-                                std::memory_order_release);
+                                std::memory_order_relaxed);
+            ctl.committedAt.store(cc.localTime(),
+                                  std::memory_order_release);
+            ctl.finished.store(true, std::memory_order_release);
             if (inlineLean_) {
                 // Final drain at the transition; a finished core
                 // emits nothing more, so later rounds skip it
@@ -253,8 +257,8 @@ ParallelEngine::runCoreBurst(CoreId c)
                             static_cast<std::int64_t>(advanced));
         }
     }
-    ctl.committed.store(cc.committedUops(),
-                        std::memory_order_release);
+    ctl.committed.store(cc.committedUops(), std::memory_order_relaxed);
+    ctl.committedAt.store(cc.localTime(), std::memory_order_release);
     if (inlineLean_) {
         // Single-thread run: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
@@ -480,10 +484,15 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
         obs::Scope pump(obs::Phase::QueuePush);
         BusMsg buf[64];
         for (CoreId c = relay.first; c < relay.last; ++c) {
-            // Read the clock *before* pumping: every event this core
-            // produced up to that clock is then guaranteed to be in
-            // the relay queue once the pump completes — the basis of
-            // the root manager's sorted-service safe time.
+            // Read the flag and then the clock *before* pumping: every
+            // event this core produced up to that clock is then
+            // guaranteed to be in the relay queue once the pump
+            // completes — the basis of the root manager's sorted-
+            // service safe time. A core that finishes mid-pump may
+            // still have events in its OutQ, so it keeps holding the
+            // watermark until a pass that saw it finished up front.
+            const bool done =
+                controls_[c]->finished.load(std::memory_order_acquire);
             const Tick local = sys_.core(c).localTime();
             auto &outQ = sys_.core(c).outQ();
             for (;;) {
@@ -511,13 +520,17 @@ ParallelEngine::relayThreadMain(std::uint32_t cluster)
                 if (n < std::size(buf))
                     break;
             }
-            if (!controls_[c]->finished.load(std::memory_order_acquire))
+            if (!done)
                 watermark = std::min(watermark, local);
         }
         }
+        const bool advanced =
+            watermark != relay.watermark.load(std::memory_order_relaxed);
         relay.watermark.store(watermark, std::memory_order_release);
 
-        if (moved) {
+        if (moved || advanced) {
+            // A new watermark alone is news too: under sorted service
+            // the manager paces no core past it.
             board_->bump(sys_.numCores() + cluster);
         } else {
             // Nothing to move: sleep until some core makes progress.
@@ -604,6 +617,34 @@ ParallelEngine::sortedHorizon(Tick global) const
     return std::max(global + 1, eot + lookahead);
 }
 
+ParallelEngine::Cut
+ParallelEngine::sampleCut(const ClockSample &clocks) const
+{
+    // The lean inline mode checks at its own round ends, which are
+    // cuts already; slack schemes promise no exact stop.
+    if (inlineLean_ || !pacer_.sortedService() ||
+        !(warmupPending_ || engine_.maxCommittedUops != 0) ||
+        clocks.minUnfinished == maxTick) {
+        return Cut::Free;
+    }
+    const Tick at = clocks.minUnfinished;
+    if (clocks.maxUnfinished != at)
+        return Cut::Moving;
+    bool published = true;
+    for (const auto &ctl : controls_) {
+        if (ctl->finished.load(std::memory_order_acquire))
+            continue;
+        // Only the manager raises maxLocal: a core paced below the
+        // cut stays there, so its published count cannot move.
+        if (ctl->maxLocal.load(std::memory_order_relaxed) >= at)
+            return Cut::Moving;
+        if (ctl->committedAt.load(std::memory_order_acquire) != at)
+            published = false;
+    }
+    return published && servicedBelow_ >= at ? Cut::Stable
+                                             : Cut::Pending;
+}
+
 void
 ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
 {
@@ -622,9 +663,16 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
             ctl->maxLocal.store(target, std::memory_order_relaxed);
         return;
     }
+    Tick global = sample.global;
+    if (pacer_.sortedService()) {
+        // Release no cycle whose inbound events are not all serviced:
+        // relays publish their watermarks late, and an injected
+        // backpressure burst skips service altogether.
+        global = std::min(global, servicedBelow_);
+    }
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
         const Tick target = std::min(
-            pacer_.maxLocalForCore(c, sample.global, localsScratch_),
+            pacer_.maxLocalForCore(c, global, localsScratch_),
             boundary);
         CoreControl &ctl = *controls_[c];
         const Tick cur = ctl.maxLocal.load(std::memory_order_relaxed);
@@ -702,10 +750,12 @@ ParallelEngine::refreshControlAfterRestore()
 {
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
         CoreControl &ctl = *controls_[c];
+        ctl.committed.store(sys_.core(c).committedUops(),
+                            std::memory_order_relaxed);
+        ctl.committedAt.store(sys_.core(c).localTime(),
+                              std::memory_order_release);
         ctl.finished.store(sys_.core(c).finished(),
                            std::memory_order_release);
-        ctl.committed.store(sys_.core(c).committedUops(),
-                            std::memory_order_release);
     }
 }
 
@@ -868,6 +918,7 @@ ParallelEngine::run()
                 }
             }
             activity += mgr_.serviceSorted(safe);
+            servicedBelow_ = safe;
             mgr_.flushOverflow();
             if (activity > 0) {
                 drain.commit(obs::TraceCategory::Manager,
@@ -888,7 +939,21 @@ ParallelEngine::run()
         }
         pacer_.observe(global, sys_.violations());
         recovery_.observe(global, sys_.violations());
-        updatePacing(true, clocks);
+        // A stable cut is released only after the thresholds below
+        // were checked on it; a pending one stays frozen until it is
+        // published and serviced. That is a few stores away on other
+        // threads (a worker's publish, a relay's pass), so yield and
+        // look again rather than sleep on the board.
+        const Cut cut = sampleCut(clocks);
+        if (cut == Cut::Free || cut == Cut::Moving) {
+            updatePacing(true, clocks);
+        } else if (cut == Cut::Pending) {
+            flushWakes();
+            std::this_thread::yield();
+            ++activity;
+        }
+        const bool check_thresholds =
+            cut == Cut::Free || cut == Cut::Stable;
         session.maybeSample(global);
         if (clocks.minUnfinished != maxTick &&
             clocks.maxUnfinished > clocks.minUnfinished) {
@@ -946,7 +1011,7 @@ ParallelEngine::run()
             }
         }
 
-        if (warmupPending_) {
+        if (warmupPending_ && check_thresholds) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=
@@ -964,7 +1029,8 @@ ParallelEngine::run()
         }
 
         // Stop conditions.
-        if (engine_.maxCommittedUops && !warmupPending_) {
+        if (engine_.maxCommittedUops && !warmupPending_ &&
+            check_thresholds) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=
@@ -989,6 +1055,8 @@ ParallelEngine::run()
                 break;
             }
         }
+        if (cut == Cut::Stable)
+            updatePacing(true, clocks);
 
         // Watchdog on stalled global time.
         if (global != last_global) {

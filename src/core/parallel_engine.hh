@@ -79,6 +79,8 @@ class ParallelEngine
         alignas(64) std::atomic<Tick> maxLocal{0};
         alignas(64) std::atomic<bool> finished{false};
         std::atomic<std::uint64_t> committed{0};
+        /** The core's local clock when `committed` was published. */
+        std::atomic<Tick> committedAt{0};
     };
 
     /** Per-worker park/wake block. One wake word per *worker*: a
@@ -112,6 +114,21 @@ class ParallelEngine
         Tick global = 0;          //!< min unfinished (max when done)
         Tick minUnfinished = maxTick;
         Tick maxUnfinished = 0;
+    };
+
+    /**
+     * Where worker-driven cores stand for a uop-threshold check (see
+     * sampleCut). The serial engine checks its warmup and stop
+     * thresholds after each round, when every core has run the same
+     * cycle; under sorted service the threaded topologies must check
+     * on exactly those cuts to stop on the same cycle.
+     */
+    enum class Cut : std::uint8_t
+    {
+        Free,    //!< no exact check needed: pace and check as before
+        Moving,  //!< cores between cuts: pace, check no threshold
+        Pending, //!< at a cut not yet published or serviced: hold it
+        Stable   //!< at a published, serviced cut: check, then pace
     };
 
     void workerThreadMain(std::uint32_t w);
@@ -153,6 +170,15 @@ class ParallelEngine
      * execute every cycle below it. Never below @p global + 1.
      */
     Tick sortedHorizon(Tick global) const;
+    /**
+     * Classify @p clocks for an exact uop-threshold check. A cut is
+     * stable when every unfinished core sits at one clock T, paced
+     * below it (frozen until the manager raises its limit), with its
+     * committed count published at T, and every event below T is
+     * serviced. Free unless sorted service runs on worker or relay
+     * threads with a warmup or stop threshold pending.
+     */
+    Cut sampleCut(const ClockSample &clocks) const;
     Tick computeGlobal() const;
     bool quiescedAtBoundary(Tick boundary) const;
     void pauseWorld();
@@ -212,6 +238,9 @@ class ParallelEngine
     bool horizonPacing_ = false;
     /** max(1, Uncore::lookahead()). */
     Tick lookahead_ = 1;
+    /** Safe time of the last service round: every staged event below
+     *  it has been serviced. Caps sorted-service pacing. */
+    Tick servicedBelow_ = 0;
     /** true until warmupUops have committed and stats were reset. */
     bool warmupPending_ = false;
     std::vector<std::unique_ptr<Relay>> relays_;

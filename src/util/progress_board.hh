@@ -6,7 +6,7 @@
  * seq_cst fetch_add that every core and relay hammered once per
  * burst: one cache line ping-ponging across every host core, plus an
  * unconditional notify. This board gives each producer thread its own
- * padded slot — a bump is a relaxed store to a line nobody else
+ * padded slot — a bump is a release store to a line nobody else
  * writes — and funnels sleep/wake through a separate generation word
  * that is only touched when somebody is actually asleep.
  *
@@ -47,16 +47,17 @@ class ProgressBoard
     ProgressBoard &operator=(const ProgressBoard &) = delete;
 
     /**
-     * Record progress on @p slot (single writer per slot). A relaxed
-     * store on a private line; the generation word is bumped and
-     * notified only when a sleeper is registered.
+     * Record progress on @p slot (single writer per slot). A release
+     * store on a private line, so a reader whose sum() includes it
+     * also sees what the writer published before; the generation word
+     * is bumped and notified only when a sleeper is registered.
      */
     void
     bump(std::uint32_t slot)
     {
         auto &s = slots_[slot].count;
         s.store(s.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+                std::memory_order_release);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         if (sleepers_.load(std::memory_order_relaxed) > 0) {
             gen_.fetch_add(1, std::memory_order_release);
@@ -64,13 +65,13 @@ class ProgressBoard
         }
     }
 
-    /** Snapshot of total progress (relaxed; compare, don't order). */
+    /** Snapshot of total progress (acquire per slot; see bump()). */
     std::uint64_t
     sum() const
     {
         std::uint64_t total = 0;
         for (const Slot &s : slots_)
-            total += s.count.load(std::memory_order_relaxed);
+            total += s.count.load(std::memory_order_acquire);
         return total;
     }
 

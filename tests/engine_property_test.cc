@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "core/pacer.hh"
 #include "core/run.hh"
@@ -98,13 +99,49 @@ TEST(HostKnobs, SerialCcMatchesParallelForSplashWindow)
         SCOPED_TRACE(kernel);
         const auto a = runSimulation(serial);
         const auto b = runSimulation(parallel);
-        // Auto topology may launch worker threads, and threaded CC is
-        // not yet bit-identical to the serial engine (ROADMAP item 1),
-        // so compare accuracy-relevant *rates* rather than totals. The
-        // inline case below pins every statistic exactly.
+        // Auto topology may launch worker threads; threaded CC stops
+        // on the serial engine's cycle too, every statistic equal.
         EXPECT_EQ(a.violations.total(), 0u);
         EXPECT_EQ(b.violations.total(), 0u);
         EXPECT_NEAR(a.cpi(), b.cpi(), a.cpi() * 0.05);
+        EXPECT_EQ(a.execCycles, b.execCycles);
+        EXPECT_EQ(a.globalCycles, b.globalCycles);
+        EXPECT_EQ(a.committedUops, b.committedUops);
+        EXPECT_TRUE(a.perCore == b.perCore);
+        EXPECT_TRUE(a.uncore == b.uncore);
+        EXPECT_TRUE(a.busQueueHistogram == b.busQueueHistogram);
+    }
+}
+
+TEST(HostKnobs, ThreadedCcStopsOnTheSerialCycle)
+{
+    // The serial engine checks its warmup and stop thresholds after
+    // each round, when every core has run the same cycle. Worker and
+    // relay threads must reset and stop on those very cycles, however
+    // far the host let each core get when the count crossed.
+    for (const std::uint64_t warmup : {0u, 3000u}) {
+        auto serial = smallConfig("fft", SchemeKind::CycleByCycle, false);
+        serial.engine.maxCommittedUops = 7001;
+        serial.engine.warmupUops = warmup;
+        const auto a = runSimulation(serial);
+        for (const std::uint32_t threads : {2u, 3u, 5u}) {
+            for (const std::uint32_t clusters : {0u, 2u}) {
+                auto threaded = serial;
+                threaded.engine.parallelHost = true;
+                threaded.engine.hostThreads = threads;
+                threaded.engine.managerClusters = clusters;
+                SCOPED_TRACE("warmup " + std::to_string(warmup) +
+                             " threads " + std::to_string(threads) +
+                             " clusters " + std::to_string(clusters));
+                const auto b = runSimulation(threaded);
+                EXPECT_EQ(a.execCycles, b.execCycles);
+                EXPECT_EQ(a.globalCycles, b.globalCycles);
+                EXPECT_EQ(a.committedUops, b.committedUops);
+                EXPECT_TRUE(a.perCore == b.perCore);
+                EXPECT_TRUE(a.uncore == b.uncore);
+                EXPECT_TRUE(a.violations == b.violations);
+            }
+        }
     }
 }
 

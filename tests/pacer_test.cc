@@ -211,6 +211,19 @@ TEST(LaxP2P, SlowestCoreCanAlwaysRun)
     }
 }
 
+TEST(LaxP2P, FinishedPeerDoesNotFreezeTheSlowestCore)
+{
+    HostStats host;
+    EngineConfig e = engineFor(SchemeKind::LaxP2P);
+    e.slackBound = 10;
+    Pacer p(e, 2, &host);
+    // Core 0 finished at cycle 100; core 1, the only unfinished core,
+    // is the global minimum at 500 and its only possible peer is core
+    // 0. Pacing it against the stopped clock would freeze the run.
+    const std::vector<Tick> locals = {100, 500};
+    EXPECT_EQ(p.maxLocalForCore(1, 500, locals), 510u);
+}
+
 TEST(LaxP2P, ReshufflesPeriodically)
 {
     HostStats host;
