@@ -86,13 +86,6 @@ main(int argc, char **argv)
             c.engine.slackBound = b;
             run("lax-p2p " + std::to_string(b), c);
         }
-        if (parallelHost(opts)) {
-            SimConfig c = base;
-            c.engine.scheme = SchemeKind::Bounded;
-            c.engine.slackBound = 8;
-            c.engine.managerClusters = 2;
-            run("bounded 8 + 2 relays", c);
-        }
 
         table.print(std::cout);
         std::cout << "\n";

@@ -26,7 +26,7 @@
  *   }
  *
  * "host_threads" is per run and reports what the engine *actually
- * used* (RunResult host.hostThreadsUsed: manager + workers + relays),
+ * used* (RunResult host.hostThreadsUsed: manager + workers),
  * not the machine's concurrency — earlier recordings wrote one global
  * hardware_concurrency() figure, which made parallel runs on a
  * 1-CPU CI host look like serial ones. The machine figure survives as

@@ -42,7 +42,6 @@ flagSpecs()
         {"checkpoint", "M", "off|measure|speculative"},
         {"checkpoint-tech", "T", "memory|fork (fork: serial only)"},
         {"p2p-period", "N", "lax-p2p reshuffle period (default 1000)"},
-        {"clusters", "N", "hierarchical manager relay count"},
         {"interval", "N", "checkpoint interval cycles (default 50000)"},
         {"no-bus-rollback", "", "roll back on map violations only"},
         {"uops", "N", "stop after N committed uops (default 100000)"},
@@ -120,8 +119,6 @@ main(int argc, char **argv)
     else if (tech != "memory")
         SLACKSIM_FATAL("--checkpoint-tech expects memory|fork");
     config.engine.p2pShufflePeriod = opts.getUint("p2p-period", 1000);
-    config.engine.managerClusters =
-        static_cast<std::uint32_t>(opts.getUint("clusters", 0));
     const std::string protocol = opts.get("protocol", "mesi");
     if (protocol == "msi")
         config.target.protocol = CoherenceProtocol::MSI;

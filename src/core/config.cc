@@ -109,16 +109,6 @@ SimConfig::validate() const
     }
     if (engine.burstCycles < 1)
         SLACKSIM_FATAL("burstCycles must be >= 1");
-    if (engine.managerClusters > 0) {
-        if (!engine.parallelHost)
-            SLACKSIM_FATAL("hierarchical manager requires the "
-                           "parallel host engine");
-        if (engine.managerClusters > target.numCores)
-            SLACKSIM_FATAL("more manager clusters than cores");
-        if (engine.checkpoint.mode != CheckpointMode::Off)
-            SLACKSIM_FATAL("hierarchical manager does not support "
-                           "checkpointing yet");
-    }
     if (engine.queueCapacity < 64)
         SLACKSIM_FATAL("queueCapacity must be >= 64");
     if (engine.hostThreads > 0 && !engine.parallelHost)

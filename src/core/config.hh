@@ -212,16 +212,6 @@ struct EngineConfig
      */
     std::uint32_t managerBanks = 0;
 
-    /**
-     * Hierarchical manager (paper Section 2: "if the manager thread
-     * becomes a bottleneck, then it should be organized
-     * hierarchically"). 0 = flat (the paper's evaluated setup);
-     * N > 0 adds N relay threads, each consolidating a cluster of
-     * core OutQs toward the root manager. Parallel host only, and
-     * (currently) incompatible with checkpointing.
-     */
-    std::uint32_t managerClusters = 0;
-
     /** Queue capacity of each OutQ/InQ. */
     std::uint32_t queueCapacity = 4096;
 

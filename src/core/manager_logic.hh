@@ -67,20 +67,6 @@ class ManagerLogic : public Snapshotable
     std::size_t pumpAll();
 
     /**
-     * Feed one event that arrived through a relay (hierarchical
-     * manager): stashed for sorted service or serviced immediately,
-     * exactly like a directly pumped event.
-     */
-    void
-    ingest(const BusMsg &msg)
-    {
-        if (sorted_)
-            stash(msg);
-        else
-            serviceOne(msg);
-    }
-
-    /**
      * Sorted mode: service staged events with ts < @p safe_time in
      * (ts, src, seq) order. @return events serviced.
      */

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <string>
 #include <thread>
 
@@ -51,27 +50,11 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
       pacer_(engine_, sys.numCores(), &host_),
       mgr_(sys, engine_, &host_),
       ckpt_(sys, pacer_, mgr_, engine_, &host_),
-      wakePending_(sys.numCores())
+      wakePending_(sys.numCores()),
+      board_(sys.numCores())
 {
     for (CoreId c = 0; c < sys_.numCores(); ++c)
         controls_.push_back(std::make_unique<CoreControl>());
-    if (engine_.managerClusters > 0) {
-        const std::uint32_t clusters = engine_.managerClusters;
-        const CoreId per =
-            (sys_.numCores() + clusters - 1) / clusters;
-        for (std::uint32_t r = 0; r < clusters; ++r) {
-            auto relay = std::make_unique<Relay>(
-                engine_.queueCapacity * 4);
-            relay->first = static_cast<CoreId>(r * per);
-            relay->last = static_cast<CoreId>(
-                std::min<std::uint64_t>(sys_.numCores(),
-                                        std::uint64_t{r + 1} * per));
-            if (relay->first < relay->last)
-                relays_.push_back(std::move(relay));
-        }
-    }
-    board_ = std::make_unique<ProgressBoard>(
-        sys_.numCores() + static_cast<std::uint32_t>(relays_.size()));
 
     // Worker topology. EngineConfig::hostThreads counts the manager,
     // so W = hostThreads - 1 workers share the simulated cores; the
@@ -105,7 +88,6 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     workerWoken_.assign(workerCount_, 0);
     lastRun_.assign(sys_.numCores(),
                     static_cast<std::uint8_t>(CoreRun::Progress));
-    inlineLean_ = workerCount_ == 0 && relays_.empty();
     lookahead_ = std::max<Tick>(1, sys_.uncore().lookahead());
 }
 
@@ -135,13 +117,9 @@ ParallelEngine::wakeWorkerNow(std::uint32_t w)
 void
 ParallelEngine::flushWakes()
 {
+    // Inline mode marks nothing: it has no worker to wake.
     if (!wakePending_.any())
         return;
-    if (workerCount_ == 0) {
-        // Inline mode: the manager is the "worker"; just clear.
-        wakePending_.drain([](std::uint32_t) {});
-        return;
-    }
     std::fill(workerWoken_.begin(), workerWoken_.end(), 0);
     wakePending_.drain([this](std::uint32_t c) {
         const std::uint32_t w = workerOf_[c];
@@ -167,13 +145,13 @@ ParallelEngine::runCoreBurst(CoreId c)
             ctl.committedAt.store(cc.localTime(),
                                   std::memory_order_release);
             ctl.finished.store(true, std::memory_order_release);
-            if (inlineLean_) {
+            if (inlineMode()) {
                 // Final drain at the transition; a finished core
                 // emits nothing more, so later rounds skip it
                 // entirely (the serial engine rescans every round).
                 mgr_.pumpCore(c);
             } else {
-                board_->bump(c);
+                board_.bump(c);
             }
             if (watchdog_)
                 watchdog_->note(c, "finished", cc.localTime());
@@ -212,7 +190,7 @@ ParallelEngine::runCoreBurst(CoreId c)
             ctl.maxLocal.load(std::memory_order_acquire);
         while (advanced < engine_.burstCycles) {
             Tick max_local = pinned_max_local;
-            if (!inlineLean_) {
+            if (!inlineMode()) {
                 max_local =
                     ctl.maxLocal.load(std::memory_order_acquire);
                 if (phase_.load(std::memory_order_relaxed) !=
@@ -259,7 +237,7 @@ ParallelEngine::runCoreBurst(CoreId c)
     }
     ctl.committed.store(cc.committedUops(), std::memory_order_relaxed);
     ctl.committedAt.store(cc.localTime(), std::memory_order_release);
-    if (inlineLean_) {
+    if (inlineMode()) {
         // Single-thread run: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
         // cadence. A burst that emitted nothing (an idle or skipping
@@ -271,7 +249,7 @@ ParallelEngine::runCoreBurst(CoreId c)
             mgr_.pumpCore(c);
         }
     } else if (advanced > 0 || backpressured || wait_inbound) {
-        board_->bump(c);
+        board_.bump(c);
     }
 
     if (advanced > 0)
@@ -443,116 +421,6 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
     clearLogThreadContext();
 }
 
-void
-ParallelEngine::relayThreadMain(std::uint32_t cluster)
-{
-    Relay &relay = *relays_[cluster];
-    std::uint32_t acked_gen = 0;
-    ScopedRunToken token_scope(sys_.runToken());
-    fault::ScopedFaultPlan plan_scope(sys_.faultPlan());
-    const std::string role = "relay " + std::to_string(cluster);
-    setLogThreadContext(role);
-    obs::Recorder::instance().registerThread(role);
-    while (!stop_.load(std::memory_order_acquire)) {
-        if (phase_.load(std::memory_order_acquire) != phaseRunning) {
-            const std::uint32_t gen =
-                pauseGen_.load(std::memory_order_acquire);
-            if (gen != acked_gen) {
-                acked_gen = gen;
-                ackCount_.fetch_add(1, std::memory_order_seq_cst);
-                ackCount_.notify_one();
-                if (watchdog_) {
-                    watchdog_->note(sys_.numCores() + cluster,
-                                    "pause-ack", 0);
-                }
-            }
-            const std::uint32_t e =
-                resumeEpoch_.load(std::memory_order_acquire);
-            if (phase_.load(std::memory_order_acquire) !=
-                    phaseRunning &&
-                !stop_.load(std::memory_order_acquire)) {
-                obs::Scope barrier(obs::Phase::Barrier);
-                resumeEpoch_.wait(e, std::memory_order_acquire);
-            }
-            continue;
-        }
-
-        const std::uint64_t p0 = board_->sum();
-        bool moved = false;
-        Tick watermark = maxTick;
-        {
-        obs::Scope pump(obs::Phase::QueuePush);
-        BusMsg buf[64];
-        for (CoreId c = relay.first; c < relay.last; ++c) {
-            // Read the flag and then the clock *before* pumping: every
-            // event this core produced up to that clock is then
-            // guaranteed to be in the relay queue once the pump
-            // completes — the basis of the root manager's sorted-
-            // service safe time. A core that finishes mid-pump may
-            // still have events in its OutQ, so it keeps holding the
-            // watermark until a pass that saw it finished up front.
-            const bool done =
-                controls_[c]->finished.load(std::memory_order_acquire);
-            const Tick local = sys_.core(c).localTime();
-            auto &outQ = sys_.core(c).outQ();
-            for (;;) {
-                const std::size_t n =
-                    outQ.popN(buf, std::size(buf));
-                if (n == 0)
-                    break;
-                moved = true;
-                std::size_t pushed = 0;
-                while (pushed < n) {
-                    pushed += relay.queue.pushN(buf + pushed,
-                                                n - pushed);
-                    if (pushed < n) {
-                        // Root manager backpressure: let it drain.
-                        std::this_thread::yield();
-                        if (stop_.load(std::memory_order_acquire)) {
-                            // Park the popped-but-unpushed tail for
-                            // the post-join drain so no event is lost.
-                            relay.carry.insert(relay.carry.end(),
-                                               buf + pushed, buf + n);
-                            return;
-                        }
-                    }
-                }
-                if (n < std::size(buf))
-                    break;
-            }
-            if (!done)
-                watermark = std::min(watermark, local);
-        }
-        }
-        const bool advanced =
-            watermark != relay.watermark.load(std::memory_order_relaxed);
-        relay.watermark.store(watermark, std::memory_order_release);
-
-        if (moved || advanced) {
-            // A new watermark alone is news too: under sorted service
-            // the manager paces no core past it.
-            board_->bump(sys_.numCores() + cluster);
-        } else {
-            // Nothing to move: sleep until some core makes progress.
-            // The note keeps an idle-but-live relay off the stall
-            // watchdog's radar (its watermark may legitimately stop
-            // moving once its whole cluster finished).
-            if (watchdog_) {
-                watchdog_->note(sys_.numCores() + cluster,
-                                "relay-idle", watermark);
-            }
-            obs::Scope wait(obs::Phase::WaitInbound);
-            board_->sleep(p0, [this] {
-                return phase_.load(std::memory_order_acquire) ==
-                           phaseRunning &&
-                       !stop_.load(std::memory_order_acquire);
-            });
-        }
-    }
-    obs::Recorder::instance().unregisterThread();
-    clearLogThreadContext();
-}
-
 Tick
 ParallelEngine::computeGlobal() const
 {
@@ -620,9 +488,9 @@ ParallelEngine::sortedHorizon(Tick global) const
 ParallelEngine::Cut
 ParallelEngine::sampleCut(const ClockSample &clocks) const
 {
-    // The lean inline mode checks at its own round ends, which are
+    // The inline mode checks at its own round ends, which are
     // cuts already; slack schemes promise no exact stop.
-    if (inlineLean_ || !pacer_.sortedService() ||
+    if (inlineMode() || !pacer_.sortedService() ||
         !(warmupPending_ || engine_.maxCommittedUops != 0) ||
         clocks.minUnfinished == maxTick) {
         return Cut::Free;
@@ -650,9 +518,9 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
 {
     const Tick boundary =
         ckpt_.enabled() ? ckpt_.nextCheckpointAt() - 1 : maxTick;
-    // Worker threads read the flag mid-burst, so only the lean inline
+    // Worker threads read the flag mid-burst, so only the inline
     // mode, which has none, ever writes it.
-    if (inlineLean_)
+    if (inlineMode())
         horizonPacing_ = pacer_.sortedService();
     if (horizonPacing_) {
         // The horizon shrinks near a uop threshold, so it is set, not
@@ -666,8 +534,7 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
     Tick global = sample.global;
     if (pacer_.sortedService()) {
         // Release no cycle whose inbound events are not all serviced:
-        // relays publish their watermarks late, and an injected
-        // backpressure burst skips service altogether.
+        // an injected backpressure burst skips service altogether.
         global = std::min(global, servicedBelow_);
     }
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
@@ -680,10 +547,10 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
             // With no worker threads the store has no reader to race
             // with; seq_cst (needed for the parked-recheck protocol)
             // would cost a full fence per core per iteration.
-            ctl.maxLocal.store(target, inlineLean_
+            ctl.maxLocal.store(target, inlineMode()
                                            ? std::memory_order_relaxed
                                            : std::memory_order_seq_cst);
-            if (!inlineLean_)
+            if (!inlineMode())
                 requestWake(c);
         }
     }
@@ -723,14 +590,9 @@ ParallelEngine::pauseWorld()
     phase_.store(phasePaused, std::memory_order_seq_cst);
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         wakeWorkerNow(w);
-    // Wake any relay sleeping on the progress board so it sees the
-    // pause promptly.
-    board_->wakeAll();
-    // Wait until every worker thread and relay acknowledged the pause.
-    const std::uint32_t expected =
-        workerCount_ + static_cast<std::uint32_t>(relays_.size());
+    // Wait until every worker thread acknowledged the pause.
     std::uint32_t acked = ackCount_.load(std::memory_order_acquire);
-    while (acked < expected) {
+    while (acked < workerCount_) {
         ackCount_.wait(acked, std::memory_order_acquire);
         acked = ackCount_.load(std::memory_order_acquire);
     }
@@ -770,16 +632,11 @@ ParallelEngine::run()
     recovery_.setDecisionLog(session.decisionLog());
     if (obs::StallWatchdog *wd = session.watchdog()) {
         // Registration order fixes the worker indices the hot-path
-        // note() calls use: cores first, then relays, manager last.
+        // note() calls use: cores first, manager last.
         for (CoreId c = 0; c < sys_.numCores(); ++c) {
             wd->addWorker("core " + std::to_string(c),
                           &sys_.core(c).localClock(),
                           &controls_[c]->finished,
-                          /*stall_eligible=*/true);
-        }
-        for (std::uint32_t r = 0; r < relays_.size(); ++r) {
-            wd->addWorker("relay " + std::to_string(r),
-                          &relays_[r]->watermark, nullptr,
                           /*stall_eligible=*/true);
         }
         // The manager blocks legitimately (all cores finished, uop
@@ -787,9 +644,9 @@ ParallelEngine::run()
         wd->addWorker("manager", nullptr, nullptr,
                       /*stall_eligible=*/false);
         wd->setProgressProbe([this] {
-            return "progress-sum=" + std::to_string(board_->sum()) +
+            return "progress-sum=" + std::to_string(board_.sum()) +
                    " generation=" +
-                   std::to_string(board_->generation());
+                   std::to_string(board_.generation());
         });
         wd->start();
         watchdog_ = wd;
@@ -809,17 +666,13 @@ ParallelEngine::run()
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         threads_.push_back(
             runner.launch([this, w] { workerThreadMain(w); }));
-    for (std::uint32_t r = 0; r < relays_.size(); ++r)
-        relayThreads_.push_back(
-            runner.launch([this, r] { relayThreadMain(r); }));
-    host_.hostThreadsUsed = 1 + workerCount_ +
-                            static_cast<std::uint32_t>(relays_.size());
+    host_.hostThreadsUsed = 1 + workerCount_;
 
     // A cancel request may arrive while the manager is parked on the
     // progress board; the waker is a pure futex kick (wakers must not
     // block — they run under the token's registry lock).
     ScopedWaker cancel_waker(engine_.cancel,
-                             [this] { board_->wakeAll(); });
+                             [this] { board_.wakeAll(); });
     bool cancelled = false;
 
     double last_progress_wall = 0.0;
@@ -830,48 +683,29 @@ ParallelEngine::run()
             cancelled = true;
             break;
         }
-        // The board only matters as a sleep/wake channel; a lean
-        // inline run never sleeps, so skip the two sharded sums.
-        const std::uint64_t p0 = inlineLean_ ? 0 : board_->sum();
+        // The board only matters as a sleep/wake channel; an inline
+        // run never sleeps, so skip the two sharded sums.
+        const std::uint64_t p0 = inlineMode() ? 0 : board_.sum();
 
-        // Read local clocks *before* pumping: every event with a
-        // timestamp below the resulting safe time is then guaranteed
-        // to already be in its OutQ, which makes sorted service
-        // deterministic and identical to the serial reference. With
-        // a hierarchical manager the relays publish the equivalent
-        // per-cluster watermark. One scan serves the safe time, the
-        // pacing targets, and the slack-spread stat below.
+        // Threaded, the clocks are read *before* pumping: every event
+        // with a timestamp below the resulting safe time (the global
+        // time) is then guaranteed to already be in its OutQ, which
+        // makes sorted service deterministic and identical to the
+        // serial reference. One scan serves the safe time, the pacing
+        // targets, and the slack-spread stat below.
         //
-        // Inline mode drives the core bursts *after* this sample, so
-        // every event a burst emits carries a timestamp at or above
-        // its core's sampled clock — the same safe-time invariant,
-        // with zero cross-thread handoff.
-        ClockSample clocks;
+        // Inline runs burst-then-sample, the serial engine's own
+        // cadence: the bursts pump their OutQs synchronously, so
+        // sampling *after* them is just as safe (any future event from
+        // a core is stamped at or above that core's current clock) —
+        // and it paces the next round a full slack window ahead of
+        // where the cores actually are, not where they were a round
+        // ago. One scan per round, like the serial engine.
         std::size_t activity = 0;
-        if (inlineLean_) {
-            // Lean inline runs burst-then-sample, the serial engine's
-            // own cadence: the bursts pump their OutQs synchronously,
-            // so sampling *after* them is just as safe (any future
-            // event from a core is stamped at or above that core's
-            // current clock) — and it paces the next round a full
-            // slack window ahead of where the cores actually are, not
-            // where they were a round ago. One scan per round, like
-            // the serial engine.
-            if (driveInline())
-                ++activity;
-            clocks = sampleClocks();
-        } else {
-            clocks = sampleClocks();
-            if (workerCount_ == 0) {
-                // Inline with relays: the relays pump asynchronously,
-                // so the safe time must come from the pre-burst
-                // sample, same as the threaded topologies.
-                if (driveInline())
-                    ++activity;
-            }
-        }
+        if (inlineMode() && driveInline())
+            ++activity;
+        const ClockSample clocks = sampleClocks();
         const Tick global = clocks.global;
-        Tick safe = global;
         if (auto *plan = fault::FaultPlan::active()) {
             // Serve-site faults before backpressure: job-crash never
             // returns, job-hang wedges the manager right here.
@@ -896,33 +730,16 @@ ParallelEngine::run()
             ++activity;
         } else {
             obs::Scope drain(obs::Phase::Drain);
-            if (inlineLean_) {
-                // The bursts pumped their own OutQs already; a second
-                // all-core scan would find them empty.
-            } else if (relays_.empty()) {
+            // Inline bursts pumped their own OutQs already; a second
+            // all-core scan would find them empty.
+            if (!inlineMode())
                 activity += mgr_.pumpAll();
-            } else {
-                safe = maxTick;
-                for (const auto &relay : relays_) {
-                    safe = std::min(
-                        safe, relay->watermark.load(
-                                  std::memory_order_acquire));
-                }
-                if (safe == maxTick)
-                    safe = global; // all cores finished
-                for (const auto &relay : relays_) {
-                    activity += relay->queue.consumeAll(
-                        [this](const BusMsg &msg) {
-                            mgr_.ingest(msg);
-                        });
-                }
-            }
-            activity += mgr_.serviceSorted(safe);
-            servicedBelow_ = safe;
+            activity += mgr_.serviceSorted(global);
+            servicedBelow_ = global;
             mgr_.flushOverflow();
             if (activity > 0) {
                 drain.commit(obs::TraceCategory::Manager,
-                             "manager-service", global, safe,
+                             "manager-service", global, global,
                              static_cast<std::int64_t>(activity));
             }
             // Mark any core that just received a delivery for the
@@ -930,7 +747,7 @@ ParallelEngine::run()
             // until their InQ gets something. updatePacing() below
             // flushes the sweep. Inline mode has nobody to wake; the
             // marks still need clearing.
-            if (inlineLean_)
+            if (inlineMode())
                 mgr_.drainDelivered([](CoreId) {});
             else
                 mgr_.drainDelivered([this](CoreId c) {
@@ -941,9 +758,9 @@ ParallelEngine::run()
         recovery_.observe(global, sys_.violations());
         // A stable cut is released only after the thresholds below
         // were checked on it; a pending one stays frozen until it is
-        // published and serviced. That is a few stores away on other
-        // threads (a worker's publish, a relay's pass), so yield and
-        // look again rather than sleep on the board.
+        // published and serviced. That is a few stores away on a
+        // worker thread, so yield and look again rather than sleep on
+        // the board.
         const Cut cut = sampleCut(clocks);
         if (cut == Cut::Free || cut == Cut::Moving) {
             updatePacing(true, clocks);
@@ -1044,14 +861,9 @@ ParallelEngine::run()
                 all_finished &=
                     ctl->finished.load(std::memory_order_acquire);
             if (all_finished) {
-                // With relays active the OutQs belong to the relay
-                // threads; the post-join drain below collects any
-                // stragglers instead.
-                if (relays_.empty()) {
-                    mgr_.pumpAll();
-                    mgr_.serviceSorted(maxTick);
-                    mgr_.flushOverflow();
-                }
+                mgr_.pumpAll();
+                mgr_.serviceSorted(maxTick);
+                mgr_.flushOverflow();
                 break;
             }
         }
@@ -1069,15 +881,12 @@ ParallelEngine::run()
                            " scheme=", schemeName(engine_.scheme));
         }
 
-        if (activity == 0 && (inlineLean_ || board_->sum() == p0)) {
+        if (activity == 0 && (inlineMode() || board_.sum() == p0)) {
             // Inline mode: the manager itself is the only thread that
             // drives the cores, so sleeping on the board would
-            // deadlock — any relays downstream only forward events
-            // this thread produces. Yield so relay threads get a
-            // chance to advance their watermarks, then re-drive (the
-            // stalled-global watchdog above still catches a true
-            // deadlock).
-            if (workerCount_ == 0) {
+            // deadlock. Yield, then re-drive (the stalled-global
+            // watchdog above still catches a true deadlock).
+            if (inlineMode()) {
                 std::this_thread::yield();
                 continue;
             }
@@ -1085,44 +894,24 @@ ParallelEngine::run()
             // The eligibility re-check (after sleeper registration)
             // closes the race with a cancel that fired its wakeAll
             // kick before we parked.
-            board_->sleep(p0, [this] {
+            board_.sleep(p0, [this] {
                 return !engine_.cancel || !engine_.cancel->cancelled();
             });
             ++host_.managerWakeups;
         }
     }
 
-    // Shut the worker and relay threads down.
+    // Shut the worker threads down.
     stop_.store(true, std::memory_order_seq_cst);
     resumeEpoch_.fetch_add(1, std::memory_order_seq_cst);
     resumeEpoch_.notify_all();
-    board_->wakeAll();
     for (std::uint32_t w = 0; w < workerCount_; ++w)
         wakeWorkerNow(w);
     for (auto &t : threads_)
         t->join();
     threads_.clear();
-    for (auto &t : relayThreads_)
-        t->join();
-    relayThreads_.clear();
     for (const auto &wc : workers_)
         host_.coreParkEvents += wc->parks;
-    // Drain any events still in transit (relay queues, popped-but-
-    // unpushed carry tails, and OutQs the relays had not pumped when
-    // they stopped) so final statistics match the flat manager's.
-    // Queue before carry before OutQ preserves per-source FIFO order.
-    if (!relays_.empty()) {
-        for (const auto &relay : relays_) {
-            relay->queue.consumeAll(
-                [this](const BusMsg &msg) { mgr_.ingest(msg); });
-            for (const BusMsg &msg : relay->carry)
-                mgr_.ingest(msg);
-            relay->carry.clear();
-        }
-        mgr_.pumpAll();
-        mgr_.serviceSorted(maxTick);
-        mgr_.flushOverflow();
-    }
 
     ckpt_.finalizeHostStats();
     session.finish(computeGlobal());

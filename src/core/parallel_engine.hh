@@ -50,7 +50,6 @@
 #include "fault/recovery_policy.hh"
 #include "util/core_bitset.hh"
 #include "util/progress_board.hh"
-#include "util/spsc_queue.hh"
 #include "util/task_runner.hh"
 
 namespace slacksim {
@@ -132,7 +131,6 @@ class ParallelEngine
     };
 
     void workerThreadMain(std::uint32_t w);
-    void relayThreadMain(std::uint32_t cluster);
     /** Run one burst for core @p c (worker threads and inline mode
      *  share this path). Updates the core's control block, progress
      *  board and trace spans. */
@@ -161,7 +159,7 @@ class ParallelEngine
      *  only while the cores are paused (rollback). */
     void updatePacing(bool monotone);
     /**
-     * Sorted service in lean inline mode: the conservative-lookahead
+     * Sorted service in inline mode: the conservative-lookahead
      * horizon H = EOT + L. EOT, the earliest output time, is the
      * least of the earliest staged request and every unfinished
      * core's wake hint; L is the uncore lookahead, 1 within one
@@ -175,8 +173,8 @@ class ParallelEngine
      * stable when every unfinished core sits at one clock T, paced
      * below it (frozen until the manager raises its limit), with its
      * committed count published at T, and every event below T is
-     * serviced. Free unless sorted service runs on worker or relay
-     * threads with a warmup or stop threshold pending.
+     * serviced. Free unless sorted service runs on worker threads
+     * with a warmup or stop threshold pending.
      */
     Cut sampleCut(const ClockSample &clocks) const;
     Tick computeGlobal() const;
@@ -185,6 +183,11 @@ class ParallelEngine
     void resumeWorld();
     void refreshControlAfterRestore();
     RunResult collectResult(double wall_seconds) const;
+    /** Inline mode (no workers): the manager is the only thread in
+     *  the run, so cross-thread signalling (board bumps, seq_cst
+     *  pacing stores, wake bookkeeping) is pure overhead and skipped
+     *  on the hot path. */
+    bool inlineMode() const { return workerCount_ == 0; }
 
     SimSystem &sys_;
     EngineConfig engine_;
@@ -194,23 +197,6 @@ class ParallelEngine
     Checkpointer ckpt_;
     fault::RecoveryPolicy recovery_{engine_, pacer_, mgr_, ckpt_};
     std::uint64_t backpressureRounds_ = 0; //!< injected service skips
-
-    /** Hierarchical-manager relay: consolidates one cluster's OutQs
-     *  toward the root manager (paper Section 2's scaling note). */
-    struct Relay
-    {
-        explicit Relay(std::uint32_t capacity)
-            : queue(capacity)
-        {
-        }
-        SpscQueue<BusMsg> queue;
-        alignas(64) std::atomic<Tick> watermark{0};
-        CoreId first = 0;
-        CoreId last = 0; //!< exclusive
-        /** Events popped from an OutQ but not yet pushed when the
-         *  relay was stopped; drained post-join by the manager. */
-        std::vector<BusMsg> carry;
-    };
 
     std::vector<std::unique_ptr<CoreControl>> controls_;
     std::vector<std::unique_ptr<WorkerControl>> workers_;
@@ -226,12 +212,7 @@ class ParallelEngine
     /** Inline-mode scan start, rotated like the serial engine's so no
      *  core is systematically serviced first. */
     CoreId inlineRotate_ = 0;
-    /** Inline mode with no relays: the manager is the only thread in
-     *  the run, so cross-thread signalling (board bumps, seq_cst
-     *  pacing stores, wake bookkeeping) is pure overhead and skipped
-     *  on the hot path. */
-    bool inlineLean_ = false;
-    /** Lean inline mode under sorted service (CC or speculative
+    /** Inline mode under sorted service (CC or speculative
      *  replay): pace by sortedHorizon() and account skipped stall
      *  cycles exactly. Threaded topologies keep one-cycle pacing: the
      *  manager cannot read the core state their workers own. */
@@ -243,12 +224,10 @@ class ParallelEngine
     Tick servicedBelow_ = 0;
     /** true until warmupUops have committed and stats were reset. */
     bool warmupPending_ = false;
-    std::vector<std::unique_ptr<Relay>> relays_;
     std::vector<Tick> localsScratch_;
     /** Worker handles from the configured TaskRunner: pool threads
      *  under the job server, plain spawned threads otherwise. */
     std::vector<std::unique_ptr<TaskRunner::Handle>> threads_;
-    std::vector<std::unique_ptr<TaskRunner::Handle>> relayThreads_;
     /** Used when EngineConfig::runner is null (single-run tools). */
     ThreadSpawnRunner fallbackRunner_;
 
@@ -256,14 +235,13 @@ class ParallelEngine
     std::atomic<std::uint32_t> pauseGen_{0};
     std::atomic<std::uint32_t> resumeEpoch_{0};
     std::atomic<std::uint32_t> ackCount_{0};
-    /** Sharded progress: slot c per core, slot numCores+r per relay.
-     *  Constructed once the relay count is known. */
-    std::unique_ptr<ProgressBoard> board_;
+    /** Sharded progress: one slot per core. */
+    ProgressBoard board_;
     std::atomic<bool> stop_{false};
 
     /** Stall watchdog for this run, or nullptr (--watchdog-ms=0).
      *  Owned by the ObsSession; set for the duration of run().
-     *  Worker indices: core c -> c, relay r -> numCores + r. */
+     *  Worker index c is core c. */
     obs::StallWatchdog *watchdog_ = nullptr;
 };
 

@@ -114,7 +114,7 @@ class StallWatchdog
     /**
      * Register a worker before start().
      *
-     * @param name  display label ("core 3", "relay 0", "manager")
+     * @param name  display label ("core 3", "manager")
      * @param clock the worker's local clock, or nullptr when it has
      *              none (progress is then judged by note() traffic)
      * @param finished optional completion flag; a finished worker is

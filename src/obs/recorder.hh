@@ -85,7 +85,7 @@ struct PhaseTotal
 /** One host thread's attribution. */
 struct ProfileWorker
 {
-    std::string role;            //!< "worker 3", "relay 0", "manager"
+    std::string role;            //!< "worker 3", "manager"
     std::uint32_t tid = 0;       //!< registration order
     std::uint64_t spanNs = 0;    //!< register -> unregister/collect
     std::uint64_t otherNs = 0;   //!< span minus attributed time

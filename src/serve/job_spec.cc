@@ -344,21 +344,14 @@ JobSpec::parse(const json::Value &doc, JobSpec *out,
         spec.hostThreadsOverride = static_cast<std::uint32_t>(u);
     }
     if (doc.has("clusters")) {
+        // Retired with the relay threads. Specs journaled before then
+        // carry "clusters": 0, so recovery must still read that.
         if (!getUint(doc, "clusters", &u, error))
             return false;
-        spec.clusters = static_cast<std::uint32_t>(u);
-        if (spec.clusters > 0 && !spec.parallelHost) {
-            *error = "clusters require parallel_host";
+        if (u != 0) {
+            *error = "clusters: relay threads were removed; omit the key";
             return false;
         }
-        if (spec.clusters > spec.cores) {
-            *error = "more clusters than cores";
-            return false;
-        }
-    }
-    if (spec.clusters > 0 && spec.checkpoint != "off") {
-        *error = "clusters and checkpointing are incompatible";
-        return false;
     }
     if (doc.has("priority")) {
         if (!getUint(doc, "priority", &u, error))
@@ -475,7 +468,6 @@ JobSpec::toConfig() const
     config.engine.warmupUops = warmupUops;
     config.engine.parallelHost = parallelHost;
     config.engine.hostThreads = hostThreadsOverride;
-    config.engine.managerClusters = clusters;
     if (checkpoint == "measure")
         config.engine.checkpoint.mode = CheckpointMode::Measure;
     else if (checkpoint == "speculative")
@@ -511,7 +503,6 @@ JobSpec::toJson() const
         w.field("host_threads",
                 static_cast<std::uint64_t>(hostThreadsOverride));
     }
-    w.field("clusters", static_cast<std::uint64_t>(clusters));
     w.field("priority", static_cast<std::uint64_t>(priority));
     w.field("timeout_ms", timeoutMs);
     if (!faultSpec.empty())

@@ -27,7 +27,9 @@
  *     "host_threads":  uint     total host threads incl. the manager
  *                               (0 = auto-size from the machine;
  *                               1 = inline mode; parallel only)
- *     "clusters":      uint     relay threads (default 0)
+ *     "clusters":      uint     retired: only 0 is accepted, so
+ *                               specs journaled while relay threads
+ *                               existed stay readable
  *     "priority":      uint     0..7, higher runs first (default 3)
  *     "timeout_ms":    uint     per-job host deadline (0 = none)
  *     "fault_spec":    string   fault/fault_plan.hh grammar
@@ -95,7 +97,6 @@ struct JobSpec
     /** EngineConfig::hostThreads: total host threads including the
      *  manager; 0 = auto-size from the machine. */
     std::uint32_t hostThreadsOverride = 0;
-    std::uint32_t clusters = 0;
     std::uint32_t priority = 3;
     std::uint64_t timeoutMs = 0;
     std::string faultSpec;
@@ -127,7 +128,7 @@ struct JobSpec
 
     /**
      * Host threads the job occupies while running: the manager plus,
-     * on the parallel engine, the worker threads and relays. With no
+     * on the parallel engine, the worker threads. With no
      * host_threads override the engine auto-sizes its workers from
      * the machine, so admission reserves the one-per-core worst case.
      * This is the quantity admission control reserves against the
@@ -144,7 +145,7 @@ struct JobSpec
                        ? cores
                        : hostThreadsOverride - 1)
                 : cores;
-        return 1 + workers + clusters;
+        return 1 + workers;
     }
 
     /** Admission memory estimate (MiB): the override when given,

@@ -171,8 +171,8 @@ struct HostStats
     std::uint64_t slackAdjustments = 0; //!< adaptive bound changes
     std::uint64_t managerWakeups = 0;
     std::uint64_t coreParkEvents = 0;
-    /** Host threads the run actually used (manager + workers +
-     *  relays); 1 for the serial engine and parallel inline mode. */
+    /** Host threads the run actually used (manager + workers); 1
+     *  for the serial engine and parallel inline mode. */
     std::uint32_t hostThreadsUsed = 1;
     Tick maxObservedSlack = 0;          //!< max clock spread seen
 };

@@ -79,9 +79,9 @@ bool quietLogging();
 
 /**
  * Attribute this thread's warn()/inform() lines: engine threads
- * register their role ("core 3", "manager", "relay 0") and optionally
+ * register their role ("worker 3", "manager") and optionally
  * a live target-clock source, so interleaved multi-threaded log lines
- * read "warn: [core 3 @12345] ..." instead of being anonymous.
+ * read "warn: [worker 3 @12345] ..." instead of being anonymous.
  * @param cycle the thread's local clock, or nullptr when it has none;
  *   must stay valid until the context is cleared.
  */

@@ -3,7 +3,7 @@
  * Sharded progress counter with a futex-friendly sleep protocol.
  *
  * The parallel engine's original progress counter was a single
- * seq_cst fetch_add that every core and relay hammered once per
+ * seq_cst fetch_add that every core hammered once per
  * burst: one cache line ping-ponging across every host core, plus an
  * unconditional notify. This board gives each producer thread its own
  * padded slot — a bump is a release store to a line nobody else

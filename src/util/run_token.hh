@@ -11,7 +11,7 @@
  *
  * A run token is a process-unique, never-reused 64-bit id minted by
  * runSimulation(). The engine binds the token to every host thread it
- * borrows for the run (manager, cores, relays) via ScopedRunToken;
+ * borrows for the run (manager, workers) via ScopedRunToken;
  * the token-aware recorder registry (obs/recorder.hh) compares the
  * calling thread's token against the session owner's and ignores
  * threads that belong to a different run. Token 0 means "no run" and

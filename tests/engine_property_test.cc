@@ -116,31 +116,27 @@ TEST(HostKnobs, SerialCcMatchesParallelForSplashWindow)
 TEST(HostKnobs, ThreadedCcStopsOnTheSerialCycle)
 {
     // The serial engine checks its warmup and stop thresholds after
-    // each round, when every core has run the same cycle. Worker and
-    // relay threads must reset and stop on those very cycles, however
-    // far the host let each core get when the count crossed.
+    // each round, when every core has run the same cycle. Worker
+    // threads must reset and stop on those very cycles, however far
+    // the host let each core get when the count crossed.
     for (const std::uint64_t warmup : {0u, 3000u}) {
         auto serial = smallConfig("fft", SchemeKind::CycleByCycle, false);
         serial.engine.maxCommittedUops = 7001;
         serial.engine.warmupUops = warmup;
         const auto a = runSimulation(serial);
         for (const std::uint32_t threads : {2u, 3u, 5u}) {
-            for (const std::uint32_t clusters : {0u, 2u}) {
-                auto threaded = serial;
-                threaded.engine.parallelHost = true;
-                threaded.engine.hostThreads = threads;
-                threaded.engine.managerClusters = clusters;
-                SCOPED_TRACE("warmup " + std::to_string(warmup) +
-                             " threads " + std::to_string(threads) +
-                             " clusters " + std::to_string(clusters));
-                const auto b = runSimulation(threaded);
-                EXPECT_EQ(a.execCycles, b.execCycles);
-                EXPECT_EQ(a.globalCycles, b.globalCycles);
-                EXPECT_EQ(a.committedUops, b.committedUops);
-                EXPECT_TRUE(a.perCore == b.perCore);
-                EXPECT_TRUE(a.uncore == b.uncore);
-                EXPECT_TRUE(a.violations == b.violations);
-            }
+            auto threaded = serial;
+            threaded.engine.parallelHost = true;
+            threaded.engine.hostThreads = threads;
+            SCOPED_TRACE("warmup " + std::to_string(warmup) +
+                         " threads " + std::to_string(threads));
+            const auto b = runSimulation(threaded);
+            EXPECT_EQ(a.execCycles, b.execCycles);
+            EXPECT_EQ(a.globalCycles, b.globalCycles);
+            EXPECT_EQ(a.committedUops, b.committedUops);
+            EXPECT_TRUE(a.perCore == b.perCore);
+            EXPECT_TRUE(a.uncore == b.uncore);
+            EXPECT_TRUE(a.violations == b.violations);
         }
     }
 }
@@ -407,7 +403,9 @@ TEST(HostThreads, CcInvariantAcrossWorkerTopologies)
 TEST(HostThreads, SlackSchemesCompleteOnEveryTopology)
 {
     for (const SchemeKind scheme :
-         {SchemeKind::Bounded, SchemeKind::Adaptive}) {
+         {SchemeKind::Quantum, SchemeKind::Bounded,
+          SchemeKind::Unbounded, SchemeKind::Adaptive,
+          SchemeKind::LaxP2P}) {
         for (const std::uint32_t threads : {1u, 2u, 4u}) {
             auto config = smallConfig("uniform", scheme, true);
             config.engine.hostThreads = threads;
@@ -419,60 +417,4 @@ TEST(HostThreads, SlackSchemesCompleteOnEveryTopology)
             EXPECT_EQ(r.committedUops, w.totalMicroOps());
         }
     }
-}
-
-TEST(HierarchicalManager, CcMatchesFlatManagerExactly)
-{
-    // The paper's scaling suggestion: relay threads consolidating
-    // clusters of OutQs must be invisible to the gold standard.
-    for (const std::string kernel : {"falseshare", "uniform"}) {
-        auto flat = smallConfig(kernel, SchemeKind::CycleByCycle, true);
-        auto tree = flat;
-        tree.engine.managerClusters = 2;
-        SCOPED_TRACE(kernel);
-        expectSameSimulation(runSimulation(flat), runSimulation(tree));
-    }
-}
-
-TEST(HierarchicalManager, SlackSchemesCompleteThroughRelays)
-{
-    for (const SchemeKind scheme :
-         {SchemeKind::Bounded, SchemeKind::Unbounded,
-          SchemeKind::Adaptive}) {
-        auto config = smallConfig("uniform", scheme, true);
-        config.engine.managerClusters = 4;
-        config.engine.slackBound = 16;
-        const Workload w = makeWorkload(config.workload);
-        SCOPED_TRACE(schemeName(scheme));
-        const auto r = runSimulation(config);
-        EXPECT_EQ(r.committedUops, w.totalMicroOps());
-    }
-}
-
-TEST(HierarchicalManager, SixteenCoresFourClusters)
-{
-    SimConfig config;
-    config.target.numCores = 16;
-    config.workload.kernel = "uniform";
-    config.workload.numThreads = 16;
-    config.workload.iters = 150;
-    config.engine.scheme = SchemeKind::Bounded;
-    config.engine.slackBound = 8;
-    config.engine.managerClusters = 4;
-    const Workload w = makeWorkload(config.workload);
-    const auto r = runSimulation(config);
-    EXPECT_EQ(r.committedUops, w.totalMicroOps());
-}
-
-TEST(HierarchicalManager, InvalidCombinationsRejected)
-{
-    SimConfig config;
-    config.workload.numThreads = config.target.numCores;
-    config.engine.managerClusters = 2;
-    config.engine.parallelHost = false;
-    EXPECT_DEATH(config.validate(), "parallel host");
-
-    config.engine.parallelHost = true;
-    config.engine.checkpoint.mode = CheckpointMode::Measure;
-    EXPECT_DEATH(config.validate(), "checkpointing");
 }

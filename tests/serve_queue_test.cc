@@ -316,3 +316,37 @@ TEST(JobSpecTest, RoundTripsThroughJson)
     EXPECT_EQ(decoded.scheme, "adaptive");
     EXPECT_EQ(decoded.faultSpec, spec.faultSpec);
 }
+
+TEST(JobSpecTest, ReadsSpecsJournaledWithClusters)
+{
+    // Exactly what toJson() wrote while relay threads existed. Every
+    // journaled `submitted` event embeds it, and --recover drops any
+    // spec that no longer parses.
+    const std::string journaled =
+        R"({"version":"slacksim.job.v1","name":"job-7","kernel":"fft",)"
+        R"("cores":8,"scheme":"bounded","slack":10,"quantum":8,)"
+        R"("seed":42,"max_uops":0,"warmup_uops":0,"checkpoint":"off",)"
+        R"("checkpoint_interval":50000,"parallel_host":true,)"
+        R"("host_threads":1,"clusters":0,"priority":3,"timeout_ms":0,)"
+        R"("fault_seed":1,"max_attempts":3,)"
+        R"("trace_id":"4bf92f3577b34da6a3ce929d0e0e4736"})";
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseSpec(journaled, &spec, &error)) << error;
+    EXPECT_EQ(spec.name, "job-7");
+    EXPECT_EQ(spec.hostThreads(), 1u);
+    EXPECT_EQ(spec.traceId, "4bf92f3577b34da6a3ce929d0e0e4736");
+
+    // The key is no longer written; everything else round-trips.
+    std::string rewritten = journaled;
+    const std::string clusters = R"("clusters":0,)";
+    rewritten.erase(rewritten.find(clusters), clusters.size());
+    EXPECT_EQ(spec.toJson(), rewritten);
+}
+
+TEST(JobSpecTest, RelayClustersAreRejected)
+{
+    const std::string error =
+        parseError(R"({"kernel": "fft", "clusters": 2})");
+    EXPECT_NE(error.find("clusters"), std::string::npos) << error;
+}
