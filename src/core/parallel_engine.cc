@@ -546,12 +546,15 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
         if (monotone ? target > cur : target != cur) {
             // With no worker threads the store has no reader to race
             // with; seq_cst (needed for the parked-recheck protocol)
-            // would cost a full fence per core per iteration.
-            ctl.maxLocal.store(target, inlineMode()
-                                           ? std::memory_order_relaxed
-                                           : std::memory_order_seq_cst);
-            if (!inlineMode())
+            // would cost a full fence per core per iteration. Each
+            // branch names its order as a constant: a runtime order
+            // compiles to seq_cst.
+            if (inlineMode()) {
+                ctl.maxLocal.store(target, std::memory_order_relaxed);
+            } else {
+                ctl.maxLocal.store(target, std::memory_order_seq_cst);
                 requestWake(c);
+            }
         }
     }
     // One coalesced sweep covers the pacing changes above *and* the

@@ -12,6 +12,17 @@
 
 namespace slacksim {
 
+namespace {
+
+/** Sync ids fit 16 bits in a validated workload. */
+std::uint16_t
+syncId(TraceInstr instr)
+{
+    return static_cast<std::uint16_t>(instr.sync());
+}
+
+} // namespace
+
 OooCore::OooCore(const CoreParams &params, CoreId id,
                  const TraceProgram *trace, L1Cache *l1d, L1Cache *l1i,
                  CoreStats *stats, Addr code_base)
@@ -324,7 +335,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
     }
     if (traceIndex_ >= trace_->instrs.size())
         return;
-    if (trace_->instrs[traceIndex_].op == TraceOp::End)
+    if (trace_->instrs[traceIndex_].op() == TraceOp::End)
         return;
 
     // One instruction-cache probe per cycle for the current fetch
@@ -355,20 +366,18 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
             return;
         if (traceIndex_ >= trace_->instrs.size())
             return;
-        const TraceInstr &instr = trace_->instrs[traceIndex_];
+        const TraceInstr instr = trace_->instrs[traceIndex_];
         bool advanced = false;
-        switch (instr.op) {
+        switch (instr.op()) {
           case TraceOp::End:
             return;
           case TraceOp::Compute: {
             SeqNum dep = 0;
-            if (intraOffset_ == 0 &&
-                (instr.flags & traceFlagDependsOnLoad)) {
+            if (intraOffset_ == 0 && instr.dependsOnLoad())
                 dep = lastLoadSeq_;
-            }
             advanced = dispatchUop(UopKind::Alu, 0, 0, dep);
             if (advanced) {
-                if (++intraOffset_ >= instr.count) {
+                if (++intraOffset_ >= instr.count()) {
                     intraOffset_ = 0;
                     ++traceIndex_;
                 }
@@ -376,29 +385,29 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
             break;
           }
           case TraceOp::Load:
-            advanced = dispatchUop(UopKind::Load, instr.addr, 0, 0);
+            advanced = dispatchUop(UopKind::Load, instr.addr(), 0, 0);
             if (advanced) {
                 lastLoadSeq_ = tailSeq_ - 1;
                 ++traceIndex_;
             }
             break;
           case TraceOp::Store:
-            advanced = dispatchUop(UopKind::Store, instr.addr, 0, 0);
+            advanced = dispatchUop(UopKind::Store, instr.addr(), 0, 0);
             if (advanced)
                 ++traceIndex_;
             break;
           case TraceOp::Lock:
-            advanced = dispatchUop(UopKind::Lock, 0, instr.sync, 0);
+            advanced = dispatchUop(UopKind::Lock, 0, syncId(instr), 0);
             if (advanced)
                 ++traceIndex_;
             break;
           case TraceOp::Unlock:
-            advanced = dispatchUop(UopKind::Unlock, 0, instr.sync, 0);
+            advanced = dispatchUop(UopKind::Unlock, 0, syncId(instr), 0);
             if (advanced)
                 ++traceIndex_;
             break;
           case TraceOp::Barrier:
-            advanced = dispatchUop(UopKind::Barrier, 0, instr.sync, 0);
+            advanced = dispatchUop(UopKind::Barrier, 0, syncId(instr), 0);
             if (advanced)
                 ++traceIndex_;
             break;
@@ -437,7 +446,7 @@ OooCore::updateFinished()
         return;
     const bool trace_done =
         traceIndex_ < trace_->instrs.size() &&
-        trace_->instrs[traceIndex_].op == TraceOp::End;
+        trace_->instrs[traceIndex_].op() == TraceOp::End;
     if (trace_done && robEmpty() && sbEmpty())
         finished_ = 1;
 }

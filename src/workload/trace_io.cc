@@ -5,6 +5,7 @@
 
 #include "workload/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -15,7 +16,7 @@ namespace slacksim {
 namespace {
 
 constexpr std::uint64_t traceMagic = 0x534c4b54524330ull; // "SLKTRC0"
-constexpr std::uint32_t traceVersion = 1;
+constexpr std::uint32_t traceVersion = 2;
 
 struct FileCloser
 {
@@ -84,12 +85,15 @@ saveWorkload(const Workload &workload, const std::string &path)
         static_cast<std::uint32_t>(workload.threads.size()), path);
     for (const TraceProgram &t : workload.threads) {
         writeScalar(f.get(), t.codeFootprint, path);
-        writeScalar(
-            f.get(),
-            static_cast<std::uint64_t>(t.instrs.size()), path);
-        if (!t.instrs.empty()) {
-            writeAll(f.get(), t.instrs.data(),
-                     t.instrs.size() * sizeof(TraceInstr), path);
+        const std::size_t count = t.instrs.size();
+        writeScalar(f.get(), static_cast<std::uint64_t>(count), path);
+        // A chunk's records are contiguous.
+        for (std::size_t i = 0; i < count;
+             i += ChunkedTrace::chunkRecords) {
+            const std::size_t n =
+                std::min(count - i, ChunkedTrace::chunkRecords);
+            writeAll(f.get(), &t.instrs[i], n * sizeof(TraceInstr),
+                     path);
         }
     }
 }
@@ -126,10 +130,13 @@ loadWorkload(const std::string &path)
         const auto count = readScalar<std::uint64_t>(f.get(), path);
         if (count > (1ull << 32))
             SLACKSIM_FATAL("'", path, "' has an implausible trace size");
-        t.instrs.resize(count);
-        if (count) {
-            readAll(f.get(), t.instrs.data(),
-                    count * sizeof(TraceInstr), path);
+        // A chunk at a time, so a header that claims more records
+        // than the file holds ends in a short read, not in a huge
+        // allocation.
+        for (std::uint64_t left = count; left != 0;) {
+            const std::span<TraceInstr> records = t.instrs.extend(left);
+            readAll(f.get(), records.data(), records.size_bytes(), path);
+            left -= records.size();
         }
     }
     validateWorkload(w);

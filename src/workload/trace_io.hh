@@ -4,10 +4,12 @@
  * file and load it back, so expensive generations (full-scale LU/FFT)
  * can be reused across runs and shared between machines.
  *
- * Format: a small header (magic, version, thread count, sync object
- * counts), then per thread the code footprint and the raw TraceInstr
- * array. Integers are stored little-endian native (the format is a
- * cache, not an interchange standard).
+ * Format (version 2): a small header (magic, version, name, sync
+ * object counts, shared footprint, thread count), then per thread the
+ * code footprint, the record count and the records, one 64-bit
+ * TraceInstr word each (version 1 stored 16-byte records and is
+ * rejected). Integers are stored little-endian native (the format is
+ * a cache, not an interchange standard).
  */
 
 #ifndef SLACKSIM_WORKLOAD_TRACE_IO_HH

@@ -31,22 +31,22 @@ analyzeWorkload(const Workload &workload)
         const std::uint64_t bit = 1ull << (t % 64);
         std::uint64_t uops = 0;
         for (const TraceInstr &instr : workload.threads[t].instrs) {
-            switch (instr.op) {
+            switch (instr.op()) {
               case TraceOp::Compute:
-                stats.computeUops += instr.count;
-                uops += instr.count;
+                stats.computeUops += instr.count();
+                uops += instr.count();
                 break;
               case TraceOp::Load: {
                 ++stats.loads;
                 ++uops;
-                LineInfo &info = lines[instr.addr & ~Addr{63}];
+                LineInfo &info = lines[instr.addr() & ~Addr{63}];
                 info.touchers |= bit;
                 break;
               }
               case TraceOp::Store: {
                 ++stats.stores;
                 ++uops;
-                LineInfo &info = lines[instr.addr & ~Addr{63}];
+                LineInfo &info = lines[instr.addr() & ~Addr{63}];
                 info.touchers |= bit;
                 info.writers |= bit;
                 break;

@@ -5,9 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 
@@ -62,8 +63,40 @@ TEST(TraceIo, RoundTripPreservesEverything)
         const auto &a = original.threads[t].instrs;
         const auto &b = loaded.threads[t].instrs;
         ASSERT_EQ(a.size(), b.size());
-        EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
-                                 a.size() * sizeof(TraceInstr)));
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i].word(), b[i].word()) << "record " << i;
+    }
+}
+
+TEST(TraceIo, RoundTripsTracesLongerThanAChunk)
+{
+    Workload original;
+    original.name = "long";
+    original.numBarriers = 1;
+    original.threads.resize(2);
+    for (std::size_t t = 0; t < original.threads.size(); ++t) {
+        TraceBuilder b(original.threads[t]);
+        b.barrier(0);
+        for (std::size_t i = 0;
+             i < ChunkedTrace::chunkRecords + 1000 * (t + 1); ++i) {
+            b.load(0x10000 * (t + 1) + 8 * i, i % 3);
+            b.store(0x80000 + 8 * i);
+        }
+        b.barrier(0);
+        b.end();
+    }
+
+    FileGuard file(tmpPath("long_trace.bin"));
+    saveWorkload(original, file.path);
+    const Workload loaded = loadWorkload(file.path);
+    ASSERT_EQ(loaded.threads.size(), original.threads.size());
+    for (std::size_t t = 0; t < original.threads.size(); ++t) {
+        const auto &a = original.threads[t].instrs;
+        const auto &b = loaded.threads[t].instrs;
+        ASSERT_GT(a.size(), 2 * ChunkedTrace::chunkRecords);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i)
+            ASSERT_EQ(a[i].word(), b[i].word()) << "record " << i;
     }
 }
 
@@ -105,6 +138,65 @@ TEST(TraceIo, TruncatedFileIsFatal)
     out.close();
 
     EXPECT_DEATH(loadWorkload(file.path), "short read");
+}
+
+namespace {
+
+/**
+ * Write a one-thread trace file by hand: format @p version, one
+ * barrier, a thread that claims @p count records, then @p words.
+ */
+void
+writeTraceFile(const std::string &path, std::uint32_t version,
+               std::uint64_t count,
+               std::initializer_list<std::uint64_t> words)
+{
+    std::ofstream out(path, std::ios::binary);
+    const auto put = [&out](const auto &v) {
+        out.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    };
+    put(std::uint64_t{0x534c4b54524330ull}); // "SLKTRC0"
+    put(version);
+    put(std::uint32_t{1});
+    out.write("x", 1);
+    put(std::uint32_t{0});    // locks
+    put(std::uint32_t{1});    // barriers
+    put(std::uint64_t{4096}); // shared footprint
+    put(std::uint32_t{1});    // threads
+    put(std::uint64_t{4096}); // code footprint
+    put(count);
+    for (const std::uint64_t word : words)
+        put(word);
+}
+
+} // namespace
+
+TEST(TraceIo, OversizedRecordCountIsAShortRead)
+{
+    // Records are read a chunk at a time, so claiming 2^32 of them
+    // costs one chunk, not a 32 GiB allocation.
+    FileGuard file(tmpPath("oversized.bin"));
+    const std::uint64_t barrier =
+        TraceInstr::make(TraceOp::Barrier, 0).word();
+    writeTraceFile(file.path, 2, std::uint64_t{1} << 32,
+                   {barrier, barrier, barrier});
+    EXPECT_DEATH(loadWorkload(file.path), "short read");
+}
+
+TEST(TraceIo, VersionOneFileIsRejected)
+{
+    FileGuard file(tmpPath("version1.bin"));
+    writeTraceFile(file.path, 1, 0, {});
+    EXPECT_DEATH(loadWorkload(file.path), "unsupported trace version 1");
+}
+
+TEST(TraceIo, UnknownOpIsRejectedOnLoad)
+{
+    FileGuard file(tmpPath("badop.bin"));
+    // The first record's op bits read 7, which is no TraceOp.
+    writeTraceFile(file.path, 2, 2,
+                   {0x1007, TraceInstr::make(TraceOp::End, 0).word()});
+    EXPECT_DEATH(loadWorkload(file.path), "unknown trace op 7");
 }
 
 TEST(Histogram, BucketsAndStats)

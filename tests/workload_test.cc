@@ -44,8 +44,8 @@ barrierCounts(const TraceProgram &t)
 {
     std::map<SyncId, std::uint64_t> counts;
     for (const auto &instr : t.instrs)
-        if (instr.op == TraceOp::Barrier)
-            ++counts[instr.sync];
+        if (instr.op() == TraceOp::Barrier)
+            ++counts[instr.sync()];
     return counts;
 }
 
@@ -75,12 +75,8 @@ TEST_P(KernelSweep, DeterministicAcrossRegenerations)
         const auto &ta = a.threads[t].instrs;
         const auto &tb = b.threads[t].instrs;
         ASSERT_EQ(ta.size(), tb.size()) << "thread " << t;
-        for (std::size_t i = 0; i < ta.size(); ++i) {
-            EXPECT_EQ(ta[i].op, tb[i].op);
-            EXPECT_EQ(ta[i].addr, tb[i].addr);
-            EXPECT_EQ(ta[i].count, tb[i].count);
-            EXPECT_EQ(ta[i].sync, tb[i].sync);
-        }
+        for (std::size_t i = 0; i < ta.size(); ++i)
+            EXPECT_EQ(ta[i].word(), tb[i].word()) << "record " << i;
     }
 }
 
@@ -149,12 +145,14 @@ TEST(WorkloadTrace, BuilderCoalescesCompute)
     // compute(3)+compute(4) coalesce; the dependent compute after the
     // load stays separate; the trailing compute(5) merges into it.
     ASSERT_EQ(prog.instrs.size(), 4u);
-    EXPECT_EQ(prog.instrs[0].op, TraceOp::Compute);
-    EXPECT_EQ(prog.instrs[0].count, 7u);
-    EXPECT_EQ(prog.instrs[1].op, TraceOp::Load);
-    EXPECT_EQ(prog.instrs[2].op, TraceOp::Compute);
-    EXPECT_EQ(prog.instrs[2].count, 7u);
-    EXPECT_TRUE(prog.instrs[2].flags & traceFlagDependsOnLoad);
+    EXPECT_EQ(prog.instrs[0].op(), TraceOp::Compute);
+    EXPECT_EQ(prog.instrs[0].count(), 7u);
+    EXPECT_FALSE(prog.instrs[0].dependsOnLoad());
+    EXPECT_EQ(prog.instrs[1].op(), TraceOp::Load);
+    EXPECT_EQ(prog.instrs[1].addr(), 0x1000u);
+    EXPECT_EQ(prog.instrs[2].op(), TraceOp::Compute);
+    EXPECT_EQ(prog.instrs[2].count(), 7u);
+    EXPECT_TRUE(prog.instrs[2].dependsOnLoad());
     EXPECT_EQ(prog.totalMicroOps(), 7u + 1 + 7);
 }
 
@@ -170,6 +168,140 @@ TEST(WorkloadTrace, MicroOpAccounting)
     EXPECT_EQ(prog.totalMicroOps(), 4u);
 }
 
+static_assert(sizeof(TraceInstr) == 8, "a trace record is one word");
+
+TEST(TraceStorage, RecordsNeverMove)
+{
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    b.store(0x40);
+    const TraceInstr *first = &prog.instrs[0];
+    for (std::size_t i = 1; i < 3 * ChunkedTrace::chunkRecords; ++i)
+        b.store(0x40 + 8 * i);
+    EXPECT_EQ(&prog.instrs[0], first);
+    EXPECT_EQ(first->op(), TraceOp::Store);
+    EXPECT_EQ(first->addr(), 0x40u);
+}
+
+TEST(TraceStorage, IndexAndBackCrossChunkBoundary)
+{
+    constexpr std::size_t n = ChunkedTrace::chunkRecords;
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    for (std::size_t i = 0; i < n; ++i)
+        b.store(8 * i);
+    EXPECT_EQ(prog.instrs.back().addr(), 8 * (n - 1));
+    b.load(0x1234);
+    ASSERT_EQ(prog.instrs.size(), n + 1);
+    EXPECT_EQ(prog.instrs[n - 1].addr(), 8 * (n - 1));
+    EXPECT_EQ(prog.instrs[n].op(), TraceOp::Load);
+    EXPECT_EQ(prog.instrs[n].addr(), 0x1234u);
+    EXPECT_EQ(&prog.instrs.back(), &prog.instrs[n]);
+
+    std::size_t seen = 0;
+    for (const TraceInstr &instr : prog.instrs)
+        EXPECT_EQ(&instr, &prog.instrs[seen++]);
+    EXPECT_EQ(seen, n + 1);
+}
+
+TEST(TraceStorage, ComputeCoalescesIntoPreviousChunk)
+{
+    constexpr std::size_t n = ChunkedTrace::chunkRecords;
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    for (std::size_t i = 0; i + 2 < n; ++i)
+        b.store(8 * i);
+    b.load(0x80, 3); // the dependent Compute is the chunk's last record
+    ASSERT_EQ(prog.instrs.size(), n);
+    b.compute(4);
+    ASSERT_EQ(prog.instrs.size(), n);
+    EXPECT_EQ(prog.instrs[n - 1].op(), TraceOp::Compute);
+    EXPECT_EQ(prog.instrs[n - 1].count(), 7u);
+    EXPECT_TRUE(prog.instrs[n - 1].dependsOnLoad());
+    b.end();
+    EXPECT_EQ(prog.instrs.size(), n + 1);
+    EXPECT_EQ(prog.instrs.back().op(), TraceOp::End);
+}
+
+TEST(TraceStorage, CopiesAreDeepAndMovesEmpty)
+{
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    for (std::size_t i = 0; i < ChunkedTrace::chunkRecords + 5; ++i)
+        b.store(8 * i);
+    TraceProgram copy = prog;
+    ASSERT_EQ(copy.instrs.size(), prog.instrs.size());
+    EXPECT_NE(&copy.instrs[0], &prog.instrs[0]);
+    for (std::size_t i = 0; i < prog.instrs.size(); ++i)
+        ASSERT_EQ(copy.instrs[i].word(), prog.instrs[i].word());
+    copy.instrs.back() = TraceInstr::make(TraceOp::End, 0);
+    EXPECT_EQ(prog.instrs.back().op(), TraceOp::Store);
+
+    const TraceProgram moved = std::move(copy);
+    EXPECT_EQ(moved.instrs.size(), prog.instrs.size());
+    EXPECT_TRUE(copy.instrs.empty());
+}
+
+namespace {
+
+/** A one-lock, one-barrier workload of @p threads empty traces. */
+Workload
+syncWorkload(unsigned threads)
+{
+    Workload w;
+    w.name = "sync";
+    w.numLocks = 1;
+    w.numBarriers = 1;
+    w.threads.resize(threads);
+    return w;
+}
+
+} // namespace
+
+TEST(ValidateWorkload, RejectsUnknownOp)
+{
+    Workload w = syncWorkload(1);
+    w.threads[0].instrs.push_back(
+        TraceInstr::make(static_cast<TraceOp>(7), 4));
+    TraceBuilder(w.threads[0]).end();
+    EXPECT_DEATH(validateWorkload(w), "unknown trace op 7");
+}
+
+TEST(ValidateWorkload, RejectsUnlockOfUnheldLock)
+{
+    Workload w = syncWorkload(1);
+    TraceBuilder b(w.threads[0]);
+    b.lock(0);
+    b.unlock(0);
+    b.unlock(0);
+    b.end();
+    EXPECT_DEATH(validateWorkload(w), "releases unheld lock 0");
+}
+
+TEST(ValidateWorkload, RejectsLockIdOutOfRange)
+{
+    Workload w = syncWorkload(1);
+    TraceBuilder b(w.threads[0]);
+    b.lock(1);
+    b.unlock(1);
+    b.end();
+    EXPECT_DEATH(validateWorkload(w), "lock id 1 out of range");
+}
+
+TEST(ValidateWorkload, RejectsDifferingBarrierCounts)
+{
+    Workload w = syncWorkload(2);
+    TraceBuilder b0(w.threads[0]);
+    b0.barrier(0);
+    b0.barrier(0);
+    b0.end();
+    TraceBuilder b1(w.threads[1]);
+    b1.barrier(0);
+    b1.end();
+    EXPECT_DEATH(validateWorkload(w),
+                 "barrier arrival counts differ in thread 1");
+}
+
 TEST(WorkloadSharing, FalseShareTargetsSameLines)
 {
     WorkloadParams p = smallParams("falseshare", 4);
@@ -179,8 +311,8 @@ TEST(WorkloadSharing, FalseShareTargetsSameLines)
     std::set<Addr> lines;
     for (const auto &t : w.threads)
         for (const auto &i : t.instrs)
-            if (i.op == TraceOp::Store)
-                lines.insert(i.addr & ~Addr{63});
+            if (i.op() == TraceOp::Store)
+                lines.insert(i.addr() & ~Addr{63});
     EXPECT_LE(lines.size(), 4u);
 }
 
@@ -191,8 +323,8 @@ TEST(WorkloadSharing, StreamIsFullyPrivate)
     std::vector<std::set<Addr>> lines(w.threads.size());
     for (std::size_t t = 0; t < w.threads.size(); ++t)
         for (const auto &i : w.threads[t].instrs)
-            if (i.op == TraceOp::Load || i.op == TraceOp::Store)
-                lines[t].insert(i.addr & ~Addr{63});
+            if (i.op() == TraceOp::Load || i.op() == TraceOp::Store)
+                lines[t].insert(i.addr() & ~Addr{63});
     for (std::size_t a = 0; a < lines.size(); ++a) {
         for (std::size_t b = a + 1; b < lines.size(); ++b) {
             for (Addr line : lines[a])
@@ -211,11 +343,11 @@ TEST(WorkloadSharing, FftTransposeReadsRemoteRows)
     // per thread and verify substantial overlap across threads.
     std::set<Addr> t0_loads, t1_stores;
     for (const auto &i : w.threads[0].instrs)
-        if (i.op == TraceOp::Load)
-            t0_loads.insert(i.addr & ~Addr{63});
+        if (i.op() == TraceOp::Load)
+            t0_loads.insert(i.addr() & ~Addr{63});
     for (const auto &i : w.threads[1].instrs)
-        if (i.op == TraceOp::Store)
-            t1_stores.insert(i.addr & ~Addr{63});
+        if (i.op() == TraceOp::Store)
+            t1_stores.insert(i.addr() & ~Addr{63});
     std::size_t overlap = 0;
     for (Addr line : t0_loads)
         overlap += t1_stores.count(line);
@@ -231,8 +363,8 @@ TEST(WorkloadSharing, WaterUsesPerMoleculeLocks)
     std::set<SyncId> used;
     for (const auto &t : w.threads)
         for (const auto &i : t.instrs)
-            if (i.op == TraceOp::Lock)
-                used.insert(i.sync);
+            if (i.op() == TraceOp::Lock)
+                used.insert(static_cast<SyncId>(i.sync()));
     EXPECT_GT(used.size(), 16u); // most molecule locks touched
 }
 
@@ -243,8 +375,8 @@ TEST(WorkloadSharing, BarnesEmitsTreeLocksAndIrregularLoads)
     std::uint64_t locks = 0, loads = 0;
     for (const auto &t : w.threads) {
         for (const auto &i : t.instrs) {
-            locks += i.op == TraceOp::Lock ? 1 : 0;
-            loads += i.op == TraceOp::Load ? 1 : 0;
+            locks += i.op() == TraceOp::Lock ? 1 : 0;
+            loads += i.op() == TraceOp::Load ? 1 : 0;
         }
     }
     EXPECT_GT(locks, 100u); // one per tree insertion at least
