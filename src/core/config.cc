@@ -114,8 +114,6 @@ SimConfig::validate() const
     if (engine.hostThreads > 0 && !engine.parallelHost)
         SLACKSIM_FATAL("hostThreads applies to the parallel host "
                        "engine only");
-    if (engine.managerBanks > 64)
-        SLACKSIM_FATAL("managerBanks must be in [0, 64]");
     if (engine.recovery.stormThreshold > 0 &&
         engine.recovery.stormWindow < 1) {
         SLACKSIM_FATAL("rollback-storm detection requires "

@@ -201,17 +201,6 @@ struct EngineConfig
      */
     std::uint32_t hostThreads = 0;
 
-    /**
-     * Manager service banks: the manager's staging runs and the
-     * global cache map are split into this many per-address-range
-     * banks (ROADMAP item 2's sharded-manager groundwork). Service
-     * order stays the exact global (ts, src, seq) order — the k-way
-     * tournament runs per bank with a top-level selection over bank
-     * heads — so CC results are bit-identical for every bank count.
-     * 0 or 1 = single bank (the classic layout).
-     */
-    std::uint32_t managerBanks = 0;
-
     /** Queue capacity of each OutQ/InQ. */
     std::uint32_t queueCapacity = 4096;
 

@@ -5,8 +5,6 @@
 
 #include "core/manager_logic.hh"
 
-#include <algorithm>
-
 #include "obs/recorder.hh"
 #include "util/logging.hh"
 
@@ -17,18 +15,12 @@ ManagerLogic::ManagerLogic(SimSystem &sys, const EngineConfig &engine,
     : sys_(sys),
       engine_(engine),
       host_(host),
-      banks_(std::max<std::uint32_t>(1, engine.managerBanks)),
-      staging_(static_cast<std::size_t>(banks_) * sys.numCores()),
-      bankCount_(banks_, 0),
+      staging_(sys.numCores()),
+      merge_(sys.numCores(), HeadLess{&staging_}),
       delivered_(sys.numCores()),
       overflow_(sys.numCores())
 {
     SLACKSIM_ASSERT(host_ != nullptr, "ManagerLogic needs host stats");
-    merge_.reserve(banks_);
-    for (std::uint32_t b = 0; b < banks_; ++b) {
-        merge_.emplace_back(sys_.numCores(),
-                            HeadLess{&staging_, b * sys_.numCores()});
-    }
     outboundScratch_.reserve(64);
     pumpScratch_.reserve(128);
 }
@@ -39,7 +31,7 @@ ManagerLogic::pumpCore(CoreId c)
     auto &q = sys_.core(c).outQ();
     if (sorted_) {
         // Epoch-batched staging: pop whole chunks off the SPSC queue
-        // and append them to the per-(bank, src) runs, deferring each
+        // and append them to the per-source runs, deferring each
         // tree replay to the point a run actually turns non-empty —
         // appends onto a non-empty run leave every tournament match
         // unchanged, so a chunk costs O(n) appends plus one O(log C)
@@ -78,24 +70,19 @@ void
 ManagerLogic::stash(const BusMsg &msg)
 {
     SLACKSIM_ASSERT(msg.src < sys_.numCores(), "stash: bad source");
-    const std::uint32_t b = bankOf(msg.addr);
-    auto &run = staging_[static_cast<std::size_t>(b) *
-                             sys_.numCores() +
-                         msg.src];
+    auto &run = staging_[msg.src];
     // The whole merge rests on per-source runs being sorted: cores
     // stamp ts from their nondecreasing local clock, so arrival order
-    // within one source *is* (ts, seq) order — and any per-bank
-    // subsequence of a monotone stream is monotone.
+    // within one source *is* (ts, seq) order.
     SLACKSIM_ASSERT(run.empty() || run.back().ts <= msg.ts,
                     "per-source timestamp order violated");
     const bool wasEmpty = run.empty();
     run.push_back(msg);
     ++stagedCount_;
-    ++bankCount_[b];
     // A push onto a non-empty run leaves its head — and therefore
     // every tournament match — unchanged: O(1).
     if (wasEmpty)
-        merge_[b].update(msg.src);
+        merge_.update(msg.src);
 }
 
 std::size_t
@@ -108,39 +95,14 @@ ManagerLogic::serviceSorted(Tick safe_time)
     obs::Scope simulate(obs::Phase::Simulate);
     std::size_t serviced = 0;
     while (stagedCount_ != 0) {
-        // Top-level tournament over the bank heads: each bank's tree
-        // yields its least (ts, src) head, and across banks the full
-        // (ts, src, seq) key decides — two banks can hold the same
-        // source at the same timestamp, where seq (the per-source
-        // emission counter) restores the original arrival order.
-        std::uint32_t win_bank = banks_;
-        const BusMsg *win = nullptr;
-        for (std::uint32_t b = 0; b < banks_; ++b) {
-            if (bankCount_[b] == 0)
-                continue;
-            const auto &head =
-                staging_[static_cast<std::size_t>(b) *
-                             sys_.numCores() +
-                         merge_[b].winner()]
-                    .front();
-            if (!win || head.ts < win->ts ||
-                (head.ts == win->ts &&
-                 (head.src < win->src ||
-                  (head.src == win->src && head.seq < win->seq)))) {
-                win = &head;
-                win_bank = b;
-            }
-        }
-        if (win->ts >= safe_time)
+        const std::uint32_t src = merge_.winner();
+        auto &run = staging_[src];
+        if (run.front().ts >= safe_time)
             break;
-        const BusMsg msg = *win;
-        auto &run = staging_[static_cast<std::size_t>(win_bank) *
-                                 sys_.numCores() +
-                             msg.src];
+        const BusMsg msg = run.front();
         run.pop_front();
         --stagedCount_;
-        --bankCount_[win_bank];
-        merge_[win_bank].update(msg.src);
+        merge_.update(src);
         serviceOne(msg);
         ++serviced;
     }
@@ -204,27 +166,11 @@ ManagerLogic::flushOverflow()
     }
 }
 
-bool
-ManagerLogic::drained() const
-{
-    return stagedCount_ == 0 && !overflowPending();
-}
-
 Tick
 ManagerLogic::earliestStaged() const
 {
-    Tick earliest = maxTick;
-    for (std::uint32_t b = 0; b < banks_; ++b) {
-        if (bankCount_[b] == 0)
-            continue;
-        earliest = std::min(
-            earliest, staging_[static_cast<std::size_t>(b) *
-                                   sys_.numCores() +
-                               merge_[b].winner()]
-                          .front()
-                          .ts);
-    }
-    return earliest;
+    return stagedCount_ == 0 ? maxTick
+                             : staging_[merge_.winner()].front().ts;
 }
 
 bool
@@ -258,43 +204,12 @@ void
 ManagerLogic::save(SnapshotWriter &writer) const
 {
     writer.putMarker(0x3147);
-    // Serialize per *source*, with each source's banks merged back
-    // into arrival (seq) order: the snapshot layout — and therefore
-    // every checkpoint byte — is identical for every bank count.
-    writer.put<std::uint64_t>(sys_.numCores());
-    std::vector<std::size_t> cursor(banks_);
-    for (CoreId src = 0; src < sys_.numCores(); ++src) {
-        std::uint64_t total = 0;
-        for (std::uint32_t b = 0; b < banks_; ++b) {
-            cursor[b] = 0;
-            total += staging_[static_cast<std::size_t>(b) *
-                                  sys_.numCores() +
-                              src]
-                         .size();
-        }
-        writer.put<std::uint64_t>(total);
-        for (std::uint64_t i = 0; i < total; ++i) {
-            // seq is the per-source emission counter: unique within
-            // a source, so the minimum over bank heads reconstructs
-            // the exact arrival order the banks partitioned.
-            const BusMsg *next = nullptr;
-            std::uint32_t next_bank = 0;
-            for (std::uint32_t b = 0; b < banks_; ++b) {
-                const auto &run =
-                    staging_[static_cast<std::size_t>(b) *
-                                 sys_.numCores() +
-                             src];
-                if (cursor[b] >= run.size())
-                    continue;
-                const BusMsg &head = run[cursor[b]];
-                if (!next || head.seq < next->seq) {
-                    next = &head;
-                    next_bank = b;
-                }
-            }
-            writer.put(*next);
-            ++cursor[next_bank];
-        }
+    // One run per source, in arrival order.
+    writer.put<std::uint64_t>(staging_.size());
+    for (const auto &run : staging_) {
+        writer.put<std::uint64_t>(run.size());
+        for (const auto &msg : run)
+            writer.put(msg);
     }
     writer.put<std::uint64_t>(overflow_.size());
     for (const auto &ov : overflow_) {
@@ -309,26 +224,17 @@ ManagerLogic::restore(SnapshotReader &reader)
 {
     reader.checkMarker(0x3147);
     const auto runs = reader.get<std::uint64_t>();
-    SLACKSIM_ASSERT(runs == sys_.numCores(),
+    SLACKSIM_ASSERT(runs == staging_.size(),
                     "manager snapshot geometry mismatch");
     stagedCount_ = 0;
-    for (auto &run : staging_)
+    for (auto &run : staging_) {
         run.clear();
-    std::fill(bankCount_.begin(), bankCount_.end(), 0);
-    for (CoreId src = 0; src < sys_.numCores(); ++src) {
         const auto n = reader.get<std::uint64_t>();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const BusMsg msg = reader.get<BusMsg>();
-            const std::uint32_t b = bankOf(msg.addr);
-            staging_[static_cast<std::size_t>(b) * sys_.numCores() +
-                     src]
-                .push_back(msg);
-            ++stagedCount_;
-            ++bankCount_[b];
-        }
+        for (std::uint64_t i = 0; i < n; ++i)
+            run.push_back(reader.get<BusMsg>());
+        stagedCount_ += n;
     }
-    for (auto &tree : merge_)
-        tree.rebuild();
+    merge_.rebuild();
     const auto cores = reader.get<std::uint64_t>();
     SLACKSIM_ASSERT(cores == overflow_.size(),
                     "manager snapshot geometry mismatch");

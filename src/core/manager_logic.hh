@@ -16,17 +16,6 @@
  * heap: within a run (fixed src) events are already (ts, seq)-sorted,
  * and across runs the tree picks the least (ts, src) head.
  *
- * Banked layout (EngineConfig::managerBanks): staging runs are split
- * into per-address-range banks — one run per (bank, source), one
- * tournament tree per bank, and a top-level selection over the bank
- * heads. Because a source's events stay (ts, seq)-monotone within
- * each bank (a subsequence of a monotone stream is monotone) and the
- * top level breaks (ts, src) ties by seq, the pop order is *exactly*
- * the global (ts, src, seq) order of the single-bank layout: CC
- * results are bit-identical for every bank count. Snapshots serialize
- * the banks merged back into per-source arrival order, so checkpoint
- * bytes are identical across bank counts too.
- *
  * All methods run on the manager's thread.
  */
 
@@ -88,9 +77,6 @@ class ManagerLogic : public Snapshotable
         delivered_.drain(static_cast<Fn &&>(fn));
     }
 
-    /** @return true when no staged events or overflow remain. */
-    bool drained() const;
-
     /** @return the least timestamp of any staged (sorted mode, not
      *  yet serviced) event, or maxTick when nothing is staged. */
     Tick earliestStaged() const;
@@ -139,30 +125,21 @@ class ManagerLogic : public Snapshotable
     void save(SnapshotWriter &writer) const override;
     void restore(SnapshotReader &reader) override;
 
-    /** @return the service bank of address @p addr (line granules). */
-    std::uint32_t
-    bankOf(Addr addr) const
-    {
-        return static_cast<std::uint32_t>((addr >> 6) % banks_);
-    }
-
   private:
     /**
-     * Orders one bank's staging runs by their head event's (ts, src)
-     * key; the per-run seq order supplies the final tie-break for
-     * free. Empty runs sort last (exhausted stream = infinite key).
-     * `base` addresses the bank's slice of the flat run array.
+     * Orders the staging runs by their head event's (ts, src) key;
+     * the per-run seq order supplies the final tie-break for free.
+     * Empty runs sort last (exhausted stream = infinite key).
      */
     struct HeadLess
     {
         const std::vector<std::deque<BusMsg>> *runs;
-        std::uint32_t base;
 
         bool
         operator()(std::uint32_t a, std::uint32_t b) const
         {
-            const auto &ra = (*runs)[base + a];
-            const auto &rb = (*runs)[base + b];
+            const auto &ra = (*runs)[a];
+            const auto &rb = (*runs)[b];
             if (ra.empty())
                 return false;
             if (rb.empty())
@@ -183,17 +160,12 @@ class ManagerLogic : public Snapshotable
     HostStats *host_;
     bool sorted_ = false;
 
-    /** Service banks (>= 1); addresses hash to banks by line range. */
-    std::uint32_t banks_ = 1;
-
-    /** Per-(bank, source) timestamp-monotone staging runs (sorted
-     *  mode), flat-indexed bank * numCores + src. */
+    /** Per-source timestamp-monotone staging runs (sorted mode). */
     std::vector<std::deque<BusMsg>> staging_;
     std::size_t stagedCount_ = 0;
-    /** Per-bank staged-event counts (skip empty banks in O(1)). */
-    std::vector<std::size_t> bankCount_;
-    /** One tournament tree per bank over that bank's source runs. */
-    std::vector<MergeTree<HeadLess>> merge_;
+    /** Tournament tree over the run heads; declared after staging_,
+     *  which its constructor reads. */
+    MergeTree<HeadLess> merge_;
     /** Batch-pump scratch (pumpCore sorted path). */
     std::vector<BusMsg> pumpScratch_;
 

@@ -421,20 +421,6 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
     clearLogThreadContext();
 }
 
-Tick
-ParallelEngine::computeGlobal() const
-{
-    Tick min_unfinished = maxTick;
-    Tick max_any = 0;
-    for (CoreId c = 0; c < sys_.numCores(); ++c) {
-        const Tick t = sys_.core(c).localTime();
-        max_any = std::max(max_any, t);
-        if (!controls_[c]->finished.load(std::memory_order_acquire))
-            min_unfinished = std::min(min_unfinished, t);
-    }
-    return min_unfinished == maxTick ? max_any : min_unfinished;
-}
-
 ParallelEngine::ClockSample
 ParallelEngine::sampleClocks()
 {
@@ -785,7 +771,7 @@ ParallelEngine::run()
         if (ckpt_.enabled()) {
             if (mgr_.rollbackRequested()) {
                 pauseWorld();
-                const Tick rb_global = computeGlobal();
+                const Tick rb_global = sampleClocks().global;
                 const auto rb = ckpt_.rollback(rb_global);
                 if (rb.status ==
                     Checkpointer::RollbackResult::Status::Demoted) {
@@ -917,7 +903,7 @@ ParallelEngine::run()
         host_.coreParkEvents += wc->parks;
 
     ckpt_.finalizeHostStats();
-    session.finish(computeGlobal());
+    session.finish(sampleClocks().global);
     watchdog_ = nullptr; // owned by the session; run is over
     clearLogThreadContext();
     RunResult r = collectResult(secondsSince(t0));

@@ -148,8 +148,8 @@ class ParallelEngine
     /**
      * Scan every core clock exactly once: fills localsScratch_ and
      * returns the global time plus the unfinished min/max (slack
-     * spread). Replaces the separate computeGlobal / pacing / spread
-     * rescans the manager loop used to do per iteration.
+     * spread), so one scan serves the safe time, the pacing targets
+     * and the slack-spread stat.
      */
     ClockSample sampleClocks();
     /** Publish new pacing limits from an existing clock sample and
@@ -177,7 +177,6 @@ class ParallelEngine
      * with a warmup or stop threshold pending.
      */
     Cut sampleCut(const ClockSample &clocks) const;
-    Tick computeGlobal() const;
     bool quiescedAtBoundary(Tick boundary) const;
     void pauseWorld();
     void resumeWorld();

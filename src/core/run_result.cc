@@ -124,86 +124,4 @@ RunResult::printPerCore(std::ostream &os) const
     table.print(os);
 }
 
-namespace {
-
-/** Minimal JSON string escaping (names are ASCII identifiers). */
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    for (const char c : in) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-} // namespace
-
-void
-RunResult::printJson(std::ostream &os) const
-{
-    os << "{";
-    os << "\"workload\":\"" << jsonEscape(workloadName) << "\",";
-    os << "\"scheme\":\"" << schemeName(scheme) << "\",";
-    os << "\"parallelHost\":" << (parallelHost ? "true" : "false")
-       << ",";
-    os << "\"execCycles\":" << execCycles << ",";
-    os << "\"globalCycles\":" << globalCycles << ",";
-    os << "\"committedUops\":" << committedUops << ",";
-    os << "\"ipc\":" << ipc() << ",";
-    os << "\"cpi\":" << cpi() << ",";
-    os << "\"wallSeconds\":" << host.wallSeconds << ",";
-    os << "\"violations\":{\"bus\":" << violations.busViolations
-       << ",\"map\":" << violations.mapViolations
-       << ",\"busRate\":" << busViolationRate()
-       << ",\"mapRate\":" << mapViolationRate() << "},";
-    os << "\"uncore\":{\"busRequests\":" << uncore.busRequests
-       << ",\"busQueueingCycles\":" << uncore.busQueueingCycles
-       << ",\"l2Hits\":" << uncore.l2Hits << ",\"l2Misses\":"
-       << uncore.l2Misses << ",\"c2c\":"
-       << uncore.cacheToCacheTransfers << ",\"lockAcquires\":"
-       << uncore.lockAcquires << ",\"barrierEpisodes\":"
-       << uncore.barrierEpisodes << "},";
-    os << "\"checkpointing\":{\"taken\":" << host.checkpointsTaken
-       << ",\"bytes\":" << host.checkpointBytes << ",\"seconds\":"
-       << host.checkpointSeconds << ",\"rollbacks\":"
-       << host.rollbacks << ",\"wastedCycles\":" << host.wastedCycles
-       << ",\"replayCycles\":" << host.replayCycles << "},";
-    os << "\"adaptive\":{\"finalBound\":" << finalSlackBound
-       << ",\"adjustments\":" << host.slackAdjustments << "},";
-    os << "\"degradation\":{\"level\":\"" << jsonEscape(degradationLevel)
-       << "\",\"demotions\":" << demotions
-       << ",\"repromotions\":" << repromotions << "},";
-    os << "\"faults\":{\"specs\":" << faultSpecCount
-       << ",\"injections\":" << faultInjections.size() << "},";
-    os << "\"maxObservedSlack\":" << host.maxObservedSlack << ",";
-    os << "\"intervals\":[";
-    for (std::size_t i = 0; i < intervals.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "{\"start\":" << intervals[i].start
-           << ",\"violations\":" << intervals[i].violations
-           << ",\"firstOffset\":";
-        if (intervals[i].violated())
-            os << intervals[i].firstViolationOffset;
-        else
-            os << "null";
-        os << "}";
-    }
-    os << "],";
-    os << "\"perCore\":[";
-    for (std::size_t c = 0; c < perCore.size(); ++c) {
-        if (c)
-            os << ",";
-        os << "{\"uops\":" << perCore[c].committedInstrs
-           << ",\"l1dMisses\":" << perCore[c].l1dMisses
-           << ",\"l1iMisses\":" << perCore[c].l1iMisses
-           << ",\"idleCycles\":" << perCore[c].idleCycles << "}";
-    }
-    os << "]}";
-    os.flush();
-}
-
 } // namespace slacksim

@@ -136,9 +136,6 @@ struct RunResult
 
     /** Per-core breakdown table (CPI, stalls, cache behavior). */
     void printPerCore(std::ostream &os) const;
-
-    /** Machine-readable JSON dump of every metric (one object). */
-    void printJson(std::ostream &os) const;
 };
 
 } // namespace slacksim

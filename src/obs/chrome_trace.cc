@@ -11,43 +11,11 @@
 #include <ostream>
 #include <string>
 
+#include "util/json.hh"
+
 namespace slacksim::obs {
 
 namespace {
-
-/** Escape a string for a JSON literal (names are ASCII literals, but
- *  roles are caller-built and escaped defensively). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 const char *
 phaseOf(TraceType type)
@@ -89,7 +57,7 @@ writeChromeTrace(std::ostream &os,
         os << "\n{\"ph\":\"M\",\"pid\":" << pid
            << ",\"tid\":0,\"name\":\"process_name\",\"args\":{"
               "\"name\":\""
-           << jsonEscape(meta.processName) << "\"}}";
+           << json::escape(meta.processName) << "\"}}";
         first = false;
     }
     for (const auto &t : traces) {
@@ -99,7 +67,7 @@ writeChromeTrace(std::ostream &os,
         os << "\n{\"ph\":\"M\",\"pid\":" << pid
            << ",\"tid\":" << t.tid
            << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-           << jsonEscape(t.role) << "\"}}";
+           << json::escape(t.role) << "\"}}";
         os << ",\n{\"ph\":\"M\",\"pid\":" << pid
            << ",\"tid\":" << t.tid
            << ",\"name\":\"thread_sort_index\",\"args\":{"
@@ -119,7 +87,7 @@ writeChromeTrace(std::ostream &os,
             os << ",\n{\"ph\":\"" << phaseOf(rec.type)
                << "\",\"pid\":" << pid << ",\"tid\":" << t.tid
                << ",\"ts\":" << tsMicros(rec.wallNs) << ",\"name\":\""
-               << jsonEscape(rec.name) << "\",\"cat\":\""
+               << json::escape(rec.name) << "\",\"cat\":\""
                << traceCategoryName(rec.category) << "\"";
             if (rec.type == TraceType::Instant)
                 os << ",\"s\":\"t\"";
@@ -154,7 +122,7 @@ writeChromeTrace(std::ostream &os,
     // to splice this file onto the wall-epoch timeline.
     if (!meta.traceId.empty()) {
         os << ",\"metadata\":{\"trace_id\":\""
-           << jsonEscape(meta.traceId) << "\",\"span_id\":\"";
+           << json::escape(meta.traceId) << "\",\"span_id\":\"";
         char hex[17];
         std::snprintf(hex, sizeof(hex), "%016llx",
                       static_cast<unsigned long long>(meta.spanId));

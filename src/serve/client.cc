@@ -7,7 +7,6 @@
 #include "serve/client.hh"
 
 #include <chrono>
-#include <sstream>
 #include <thread>
 
 #include "util/json.hh"
@@ -169,13 +168,8 @@ Client::submit(const std::string &specJson, std::string *error,
     }
     std::string frame = "{\"op\": \"submit\"";
     if (!idempotencyKey.empty()) {
-        std::ostringstream key;
-        JsonWriter w(key, 0);
-        w.beginObject();
-        w.field("idempotency_key", idempotencyKey);
-        w.endObject();
-        const std::string obj = key.str();
-        frame += ", " + obj.substr(1, obj.size() - 2);
+        frame += ", \"idempotency_key\":\"" +
+                 json::escape(idempotencyKey) + "\"";
     }
     frame += ", \"spec\": " + flat + "}";
     json::Value reply;

@@ -15,90 +15,12 @@
 #include <string>
 #include <vector>
 
-#include "util/json_parse.hh"
+#include "util/json.hh"
 
 namespace slacksim {
 namespace serve {
 
 namespace {
-
-/** JSON string escaping matching util/json.hh's writeString. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (u < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-/** Re-encode a parsed Value as compact JSON. Integral numbers print
- *  exactly (wall-epoch microsecond timestamps overflow %.12g), the
- *  rest with enough digits to round-trip. */
-void
-writeValue(std::ostream &os, const json::Value &v)
-{
-    switch (v.type) {
-      case json::Value::Type::Null: os << "null"; break;
-      case json::Value::Type::Bool:
-        os << (v.boolean ? "true" : "false");
-        break;
-      case json::Value::Type::Number: {
-        const auto as_int = static_cast<long long>(v.number);
-        if (v.number == static_cast<double>(as_int)) {
-            os << as_int;
-        } else {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.17g", v.number);
-            os << buf;
-        }
-        break;
-      }
-      case json::Value::Type::String:
-        os << '"' << jsonEscape(v.str) << '"';
-        break;
-      case json::Value::Type::Object: {
-        os << '{';
-        bool first = true;
-        for (const auto &[key, val] : v.object) {
-            if (!first)
-                os << ',';
-            first = false;
-            os << '"' << jsonEscape(key) << "\":";
-            writeValue(os, val);
-        }
-        os << '}';
-        break;
-      }
-      case json::Value::Type::Array: {
-        os << '[';
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-            if (i)
-                os << ',';
-            writeValue(os, v.array[i]);
-        }
-        os << ']';
-        break;
-      }
-    }
-}
 
 /** Wall-epoch microseconds rendered with sub-us precision. */
 std::string
@@ -226,7 +148,7 @@ foldedProfileArgs(const std::string &path)
         if (!first)
             args << ",";
         first = false;
-        args << "\"" << jsonEscape(line.substr(0, space))
+        args << "\"" << json::escape(line.substr(0, space))
              << "\":" << line.substr(space + 1);
     }
     if (first)
@@ -264,7 +186,7 @@ spliceJobTrace(EventSink &sink, const json::Value &trace,
     }
     const std::string id_args =
         "\"job_id\":\"job-" + std::to_string(job.id) +
-        "\",\"trace_id\":\"" + jsonEscape(job.traceId) + "\"";
+        "\",\"trace_id\":\"" + json::escape(job.traceId) + "\"";
     for (const json::Value &event : trace.at("traceEvents").array) {
         if (!event.isObject())
             continue;
@@ -278,7 +200,7 @@ spliceJobTrace(EventSink &sink, const json::Value &trace,
             if (!first)
                 e << ',';
             first = false;
-            e << '"' << jsonEscape(key) << "\":";
+            e << '"' << json::escape(key) << "\":";
             if (key == "ts" && val.isNumber() && !meta_event) {
                 // Engine timestamps are µs since trace activation;
                 // the anchor moves them onto the wall-epoch axis.
@@ -293,12 +215,12 @@ spliceJobTrace(EventSink &sink, const json::Value &trace,
                 saw_args = true;
                 e << '{' << id_args;
                 for (const auto &[akey, aval] : val.object) {
-                    e << ",\"" << jsonEscape(akey) << "\":";
-                    writeValue(e, aval);
+                    e << ",\"" << json::escape(akey) << "\":";
+                    json::encode(e, aval);
                 }
                 e << '}';
             } else {
-                writeValue(e, val);
+                json::encode(e, val);
             }
         }
         if (!saw_args && !meta_event)
@@ -431,11 +353,11 @@ writeFleetTrace(std::ostream &os, const std::string &outRoot,
                  std::to_string(server_pid) +
                  ",\"tid\":" + std::to_string(job.id) +
                  ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-                 jsonEscape(label) + "\"}}");
+                 json::escape(label) + "\"}}");
 
         const std::string base_args =
             "\"job_id\":\"job-" + std::to_string(job.id) +
-            "\",\"trace_id\":\"" + jsonEscape(job.traceId) + "\"";
+            "\",\"trace_id\":\"" + json::escape(job.traceId) + "\"";
         // A job with no terminal event is still running (or the
         // daemon died); close its open spans at the last evidence so
         // the merged trace stays balanced.

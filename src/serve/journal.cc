@@ -10,7 +10,7 @@
 #include <map>
 #include <sstream>
 
-#include "util/json_parse.hh"
+#include "util/json.hh"
 
 namespace slacksim {
 namespace serve {
@@ -26,85 +26,6 @@ isTerminalEvent(const std::string &event)
     return event == "completed" || event == "failed" ||
            event == "cancelled" || event == "timed_out" ||
            event == "crashed";
-}
-
-/** JSON string escaping matching util/json.hh's writeString. */
-void
-writeEscaped(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        const auto u = static_cast<unsigned char>(c);
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (u < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** Re-encode a parsed spec Value as compact JSON so the replayer can
- *  hand the server the exact object the client submitted. */
-void
-writeValue(std::ostream &os, const json::Value &v)
-{
-    switch (v.type) {
-      case json::Value::Type::Null: os << "null"; break;
-      case json::Value::Type::Bool:
-        os << (v.boolean ? "true" : "false");
-        break;
-      case json::Value::Type::Number: {
-        // Journal specs only carry integers (uints/bools/strings);
-        // print integral numbers exactly, the rest with %g.
-        const auto as_int = static_cast<long long>(v.number);
-        if (v.number == static_cast<double>(as_int)) {
-            os << as_int;
-        } else {
-            char buf[40];
-            std::snprintf(buf, sizeof(buf), "%.12g", v.number);
-            os << buf;
-        }
-        break;
-      }
-      case json::Value::Type::String:
-        writeEscaped(os, v.str);
-        break;
-      case json::Value::Type::Object: {
-        os << '{';
-        bool first = true;
-        for (const auto &[key, val] : v.object) {
-            if (!first)
-                os << ',';
-            first = false;
-            writeEscaped(os, key);
-            os << ':';
-            writeValue(os, val);
-        }
-        os << '}';
-        break;
-      }
-      case json::Value::Type::Array: {
-        os << '[';
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-            if (i)
-                os << ',';
-            writeValue(os, v.array[i]);
-        }
-        os << ']';
-        break;
-      }
-    }
 }
 
 } // namespace
@@ -145,8 +66,10 @@ readJournal(const std::string &path, JournalReplay *out)
             JournalJob job;
             job.id = id;
             if (doc.has("spec") && doc.at("spec").isObject()) {
+                // Re-encode so the server gets the exact object the
+                // client submitted.
                 std::ostringstream os;
-                writeValue(os, doc.at("spec"));
+                json::encode(os, doc.at("spec"));
                 job.specJson = os.str();
             }
             if (doc.has("idempotency_key") &&

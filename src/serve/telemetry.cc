@@ -413,13 +413,8 @@ EventLog::recorded() const
 std::string
 eventField(const char *key, const std::string &value)
 {
-    std::ostringstream os;
-    JsonWriter w(os, 0);
-    w.beginObject();
-    w.field(key, value);
-    w.endObject();
-    const std::string obj = os.str(); // {"key":"escaped"}
-    return "," + obj.substr(1, obj.size() - 2);
+    return ",\"" + json::escape(key) + "\":\"" + json::escape(value) +
+           "\"";
 }
 
 std::string

@@ -5,6 +5,8 @@
  * One writer means one escaping policy, one number format, and one
  * place to get comma/indent bookkeeping right, instead of each
  * harness hand-rolling `os << "{...}"` with its own quoting bugs.
+ * Code that splices JSON text by hand uses the same escaper,
+ * json::escape, and re-encodes parsed input with json::encode.
  *
  * Usage mirrors the document structure:
  *
@@ -29,9 +31,106 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/json_parse.hh"
+
 namespace slacksim {
+
+namespace json {
+
+/**
+ * @return @p s escaped for the inside of a JSON string literal: quote,
+ * backslash, newline, tab and carriage return by name, every other
+ * control byte as \u00XX, all else (UTF-8 included) verbatim.
+ */
+inline std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (const auto u = static_cast<unsigned char>(c); u < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Write @p v as compact JSON (object keys in the Value's sorted
+ * order). Integral numbers print exactly, since wall-epoch
+ * microsecond timestamps overflow %.12g; the rest print as %.17g,
+ * which round-trips every double. JSON has no NaN or Inf, so those
+ * print as null.
+ */
+inline void
+encode(std::ostream &os, const Value &v)
+{
+    switch (v.type) {
+      case Value::Type::Null:
+        os << "null";
+        break;
+      case Value::Type::Bool:
+        os << (v.boolean ? "true" : "false");
+        break;
+      case Value::Type::Number: {
+        const double n = v.number;
+        if (!std::isfinite(n)) {
+            os << "null";
+        } else if (n >= -0x1p63 && n < 0x1p63 &&
+                   n == static_cast<double>(
+                            static_cast<long long>(n))) {
+            os << static_cast<long long>(n);
+        } else {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", n);
+            os << buf;
+        }
+        break;
+      }
+      case Value::Type::String:
+        os << '"' << escape(v.str) << '"';
+        break;
+      case Value::Type::Object: {
+        os << '{';
+        bool first = true;
+        for (const auto &[key, val] : v.object) {
+            if (!first)
+                os << ',';
+            first = false;
+            os << '"' << escape(key) << "\":";
+            encode(os, val);
+        }
+        os << '}';
+        break;
+      }
+      case Value::Type::Array:
+        os << '[';
+        for (std::size_t i = 0; i < v.array.size(); ++i) {
+            if (i)
+                os << ',';
+            encode(os, v.array[i]);
+        }
+        os << ']';
+        break;
+    }
+}
+
+} // namespace json
 
 /** Streaming JSON emitter with indentation and escaping. */
 class JsonWriter
@@ -104,7 +203,7 @@ class JsonWriter
     field(const char *key, const char *v)
     {
         fieldKey(key);
-        writeString(v ? std::string(v) : std::string());
+        writeString(v ? v : "");
     }
 
     void
@@ -238,38 +337,9 @@ class JsonWriter
     }
 
     void
-    writeString(const std::string &s)
+    writeString(std::string_view s)
     {
-        os_ << '"';
-        for (const char c : s) {
-            const auto u = static_cast<unsigned char>(c);
-            switch (c) {
-              case '"':
-                os_ << "\\\"";
-                break;
-              case '\\':
-                os_ << "\\\\";
-                break;
-              case '\n':
-                os_ << "\\n";
-                break;
-              case '\t':
-                os_ << "\\t";
-                break;
-              case '\r':
-                os_ << "\\r";
-                break;
-              default:
-                if (u < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-                    os_ << buf;
-                } else {
-                    os_ << c;
-                }
-            }
-        }
-        os_ << '"';
+        os_ << '"' << json::escape(s) << '"';
     }
 
     void

@@ -79,6 +79,10 @@ validateWorkload(const Workload &workload)
     std::vector<std::uint8_t> held(workload.numLocks);
 
     for (std::size_t t = 0; t < workload.threads.size(); ++t) {
+        // The core wraps its fetch address modulo the footprint.
+        SLACKSIM_ASSERT(workload.threads[t].codeFootprint > 0,
+                        "thread ", t, " of '", workload.name,
+                        "' has a zero code footprint");
         const ChunkedTrace &trace = workload.threads[t].instrs;
         SLACKSIM_ASSERT(!trace.empty() &&
                             trace.back().op() == TraceOp::End,

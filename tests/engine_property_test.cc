@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -311,76 +310,6 @@ TEST(RunResultReport, PerCoreTablePrints)
                     ? 1
                     : 0;
     EXPECT_GE(rows, 7u);
-}
-
-TEST(RunResultReport, JsonIsWellFormedAndComplete)
-{
-    auto config = smallConfig("uniform", SchemeKind::Adaptive, false);
-    config.workload.iters = 200;
-    config.engine.checkpoint.mode = CheckpointMode::Measure;
-    config.engine.checkpoint.interval = 1000;
-    const auto r = runSimulation(config);
-    std::ostringstream os;
-    r.printJson(os);
-    const std::string json = os.str();
-    // Structural sanity without a JSON parser: balanced braces and
-    // every top-level section present.
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    for (const char *key :
-         {"\"workload\"", "\"scheme\"", "\"execCycles\"",
-          "\"violations\"", "\"uncore\"", "\"checkpointing\"",
-          "\"adaptive\"", "\"intervals\"", "\"perCore\""}) {
-        EXPECT_NE(json.find(key), std::string::npos) << key;
-    }
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-}
-
-TEST(BankedManager, CcMatchesSingleBankExactly)
-{
-    // Sharding the manager's staging and the global cache map into
-    // per-address banks must be invisible to the gold standard: the
-    // per-bank tournament plus the top-level (ts, src, seq) selection
-    // reproduces the exact single-bank service order.
-    for (const std::string kernel : {"falseshare", "uniform"}) {
-        auto flat = smallConfig(kernel, SchemeKind::CycleByCycle, true);
-        for (const std::uint32_t banks : {1u, 2u, 4u, 16u}) {
-            auto banked = flat;
-            banked.engine.managerBanks = banks;
-            SCOPED_TRACE(kernel + " banks=" + std::to_string(banks));
-            expectSameSimulation(runSimulation(flat),
-                                 runSimulation(banked));
-        }
-    }
-}
-
-TEST(BankedManager, SlackSchemesMatchAcrossBankCounts)
-{
-    // Slack schemes service in the same order regardless of how the
-    // state is banked, so their (approximate) results must also be
-    // identical across bank counts — including the violation tallies
-    // the banked GlobalCacheMap detects.
-    for (const SchemeKind scheme :
-         {SchemeKind::Bounded, SchemeKind::Adaptive}) {
-        auto one = smallConfig("falseshare", scheme, true);
-        one.engine.slackBound = 16;
-        // Inline host: slack-scheme service order is arrival order,
-        // which only the single-threaded topology pins down — with
-        // real workers it is timing-dependent by design.
-        one.engine.hostThreads = 1;
-        one.engine.managerBanks = 1;
-        auto eight = one;
-        eight.engine.managerBanks = 8;
-        SCOPED_TRACE(schemeName(scheme));
-        const auto a = runSimulation(one);
-        const auto b = runSimulation(eight);
-        expectSameSimulation(a, b);
-        EXPECT_EQ(a.violations.busViolations,
-                  b.violations.busViolations);
-        EXPECT_EQ(a.violations.mapViolations,
-                  b.violations.mapViolations);
-    }
 }
 
 TEST(HostThreads, CcInvariantAcrossWorkerTopologies)

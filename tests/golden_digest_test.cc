@@ -10,10 +10,10 @@
  *  - the bus-queue histogram (count, sum, min, max, every bucket).
  *
  * Cycle-by-cycle cases must produce the same digest on the serial
- * engine (the oracle) and on the inline parallel engine at every bank
- * count. Slack and speculative cases run the inline parallel engine,
- * whose arrival order is deterministic. A mismatch prints the new
- * digest; update the table only for a deliberate model change.
+ * engine (the oracle) and on the inline parallel engine. Slack and
+ * speculative cases run the inline parallel engine, whose arrival
+ * order is deterministic. A mismatch prints the new digest; update
+ * the table only for a deliberate model change.
  */
 
 #include <gtest/gtest.h>
@@ -94,18 +94,14 @@ inlineParallel(SimConfig c)
 }
 
 /** Run @p config on the serial engine and on the inline parallel
- *  engine at bank counts 1, 3 and 8; each must match @p expect. */
+ *  engine; each must match @p expect. */
 void
 expectCcDigest(const SimConfig &config, std::uint64_t expect)
 {
     EXPECT_EQ(statDigest(runSimulation(config)), expect) << "serial";
-    for (const std::uint32_t banks : {1u, 3u, 8u}) {
-        SimConfig par = inlineParallel(config);
-        par.engine.managerBanks = banks;
-        const RunResult r = runSimulation(par);
-        EXPECT_EQ(statDigest(r), expect) << "inline banks=" << banks;
-        EXPECT_EQ(r.violations.total(), 0u);
-    }
+    const RunResult r = runSimulation(inlineParallel(config));
+    EXPECT_EQ(statDigest(r), expect) << "inline";
+    EXPECT_EQ(r.violations.total(), 0u);
 }
 
 // Cycle-by-cycle, golden workloads, run to completion.

@@ -657,15 +657,13 @@ TEST(TraceRollback, SerialReplaySpansClosedAndAttributed)
               static_cast<int>(r.host.rollbacks));
 }
 
-TEST(TraceRollback, ParallelBankedReplaySpansClosed)
+TEST(TraceRollback, ParallelReplaySpansClosed)
 {
-    // Same episode on the threaded engine with sharded manager banks:
-    // worker tracks and the banked manager must still export balanced
-    // spans across the rewind.
+    // Same episode on the threaded engine: worker tracks and the
+    // manager must still export balanced spans across the rewind.
     SimConfig config = rollbackConfig();
     config.engine.parallelHost = true;
     config.engine.hostThreads = 3;
-    config.engine.managerBanks = 2;
     config.engine.faultSpecs = {"spurious-rollback@ckpt:2"};
     RunResult r;
     const json::Value doc =

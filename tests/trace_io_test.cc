@@ -144,12 +144,14 @@ namespace {
 
 /**
  * Write a one-thread trace file by hand: format @p version, one
- * barrier, a thread that claims @p count records, then @p words.
+ * barrier, a thread with a @p code_footprint byte code footprint
+ * that claims @p count records, then @p words.
  */
 void
 writeTraceFile(const std::string &path, std::uint32_t version,
                std::uint64_t count,
-               std::initializer_list<std::uint64_t> words)
+               std::initializer_list<std::uint64_t> words,
+               std::uint64_t code_footprint = 4096)
 {
     std::ofstream out(path, std::ios::binary);
     const auto put = [&out](const auto &v) {
@@ -163,7 +165,7 @@ writeTraceFile(const std::string &path, std::uint32_t version,
     put(std::uint32_t{1});    // barriers
     put(std::uint64_t{4096}); // shared footprint
     put(std::uint32_t{1});    // threads
-    put(std::uint64_t{4096}); // code footprint
+    put(code_footprint);
     put(count);
     for (const std::uint64_t word : words)
         put(word);
@@ -197,6 +199,16 @@ TEST(TraceIo, UnknownOpIsRejectedOnLoad)
     writeTraceFile(file.path, 2, 2,
                    {0x1007, TraceInstr::make(TraceOp::End, 0).word()});
     EXPECT_DEATH(loadWorkload(file.path), "unknown trace op 7");
+}
+
+TEST(TraceIo, ZeroCodeFootprintIsRejectedOnLoad)
+{
+    // The core takes its fetch address modulo the code footprint.
+    FileGuard file(tmpPath("nocode.bin"));
+    writeTraceFile(file.path, 2, 1,
+                   {TraceInstr::make(TraceOp::End, 0).word()}, 0);
+    EXPECT_DEATH(loadWorkload(file.path),
+                 "thread 0 of 'x' has a zero code footprint");
 }
 
 TEST(Histogram, BucketsAndStats)

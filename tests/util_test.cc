@@ -1,16 +1,18 @@
 /**
  * @file
- * Unit tests for the util layer: RNG, SPSC queue, snapshots, options
- * parsing and table formatting.
+ * Unit tests for the util layer: RNG, SPSC queue, snapshots, JSON
+ * escaping and encoding, options parsing and table formatting.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "stats/table.hh"
+#include "util/json.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/snapshot.hh"
@@ -197,6 +199,39 @@ TEST(Snapshot, EmptyVector)
     SnapshotReader r(w.bytes());
     EXPECT_TRUE(r.getVector<int>().empty());
     EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Json, EscapeAndEncodeRoundTripThroughTheParser)
+{
+    // Quote, backslash, newline, tab, carriage return and a control
+    // byte the escaper has no name for.
+    const std::string nasty = "q\"b\\n\nt\tr\rc\x01 end";
+    EXPECT_EQ(json::escape(nasty), R"(q\"b\\n\nt\tr\rc\u0001 end)");
+
+    const std::string spec =
+        R"({"kernel":"fft","seed":1234567890123,"cores":8,)"
+        R"("name":"q\"b\\n\nt\tr\rc\u0001 end",)"
+        R"("nested":{"ts":1700000000123456,"frac":0.1,"obj":{},)"
+        R"("list":[1,2.5,-3,true,false,null,"x"]}})";
+    std::ostringstream os;
+    json::encode(os, json::parse(spec));
+    // Compact, keys in sorted order, integers exact, anything else
+    // with the 17 digits that round-trip a double.
+    const std::string encoded = os.str();
+    EXPECT_EQ(encoded,
+              R"({"cores":8,"kernel":"fft",)"
+              R"("name":"q\"b\\n\nt\tr\rc\u0001 end",)"
+              R"("nested":{"frac":0.10000000000000001,)"
+              R"("list":[1,2.5,-3,true,false,null,"x"],"obj":{},)"
+              R"("ts":1700000000123456},"seed":1234567890123})");
+
+    const json::Value back = json::parse(encoded);
+    EXPECT_EQ(back.at("name").asString(), nasty);
+    EXPECT_EQ(back.at("nested").at("frac").asNumber(), 0.1);
+    EXPECT_EQ(back.at("nested").at("ts").asUint(), 1700000000123456u);
+    std::ostringstream again;
+    json::encode(again, back);
+    EXPECT_EQ(again.str(), encoded);
 }
 
 TEST(Options, ParsesKeyValueAndFlags)
