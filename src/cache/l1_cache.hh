@@ -40,6 +40,7 @@ struct L1Waiter
         Frontend,      //!< instruction fetch restart
     };
     Kind kind = Kind::LoadRob;
+    std::uint8_t pad = 0; //!< named padding: MSHRs are copied raw
     std::uint16_t index = 0;
 };
 
@@ -126,6 +127,7 @@ class L1Cache : public Snapshotable
     {
         Addr tag = 0;             //!< full line address
         MesiState state = MesiState::Invalid;
+        std::uint8_t pad[3] = {}; //!< named padding: copied raw
         std::uint32_t lruStamp = 0;
     };
 
@@ -136,7 +138,9 @@ class L1Cache : public Snapshotable
         bool valid = false;
         MsgType request = MsgType::GetS;
         std::uint8_t numWaiters = 0;
+        std::uint8_t pad0 = 0;    //!< named padding: copied raw
         L1Waiter waiters[14];
+        std::uint32_t pad1 = 0;
     };
 
     std::uint32_t setIndex(Addr line_addr) const;

@@ -201,7 +201,13 @@ struct EngineConfig
      */
     std::uint32_t hostThreads = 0;
 
-    /** Queue capacity of each OutQ/InQ. */
+    /**
+     * Messages each OutQ/InQ holds, rounded up to a power of two: a
+     * ring of N slots holds exactly N (4096 holds 4096, 100 holds
+     * 128). Slot memory becomes resident only where a message is
+     * first written, so a large capacity costs only what the queue
+     * carries.
+     */
     std::uint32_t queueCapacity = 4096;
 
     /** Abort if no global progress for this long (hang detection). */

@@ -38,31 +38,38 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget,
 
     // A core already known to be inert, with nothing due before its
     // wake, would repeat its evaluated cycle exactly: re-enter it in
-    // O(1) and skip from `now` itself, the first cycle the skip below
-    // stands for.
-    Tick wake = exact && inert_ ? nextWake() : now;
+    // O(1) instead of evaluating the pipeline again. An exact skip
+    // then counts from `now` itself, the first cycle it stands for.
+    Tick wake = inert_ ? nextWake() : now;
     Tick skip_from = now;
-    if (wake <= now) {
+    if (wake > now && exact) {
+        ++inertReentries_;
+    } else {
         // Reserve space for the worst-case message volume of one cycle
-        // so the cycle never has to abort halfway through.
+        // so the cycle never has to abort halfway through. An idle
+        // re-entry keeps the check the evaluation it replaces made.
         if (!outQ_.hasFreeSpace(outboundHeadroom))
             return CycleOutcome::Backpressure;
-        inert_ = false;
-        if (exact)
-            inertDelta_ = stats_; // the counters before this cycle
-        if (step(now) || finished()) {
-            // Publish the new local time only after the cycle's
-            // messages are in the queue: once the manager observes
-            // localTime > T it may assume every event of cycle T is
-            // visible.
-            localTime_.store(now + 1, std::memory_order_release);
-            return CycleOutcome::Progress;
-        }
-        if (exact) {
+        if (wake > now) {
+            // Idle re-entry: count cycle `now` as evaluating it would.
+            ++inertReentries_;
+            stats_.add(inertDelta_);
+        } else {
+            ++evaluations_;
+            const CoreStats before = stats_;
+            inert_ = false;
+            if (step(now) || finished()) {
+                // Publish the new local time only after the cycle's
+                // messages are in the queue: once the manager
+                // observes localTime > T it may assume every event of
+                // cycle T is visible.
+                localTime_.store(now + 1, std::memory_order_release);
+                return CycleOutcome::Progress;
+            }
             inert_ = true;
-            inertDelta_ = stats_.since(inertDelta_);
+            inertDelta_ = stats_.since(before);
+            wake = nextWake();
         }
-        wake = nextWake();
         skip_from = now + 1;
     }
 

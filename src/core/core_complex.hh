@@ -51,13 +51,12 @@ class CoreComplex : public Snapshotable
     /** How an idle skip accounts the stall cycles it jumps over. */
     enum class StallAccounting : std::uint8_t
     {
-        /** Slack schemes: the evaluated inert cycle's increments,
-         *  then idleCycles for every cycle jumped over. */
+        /** Slack schemes: the inert cycle's increments once, then
+         *  idleCycles for every cycle jumped over. */
         Idle,
         /** Sorted service: each skipped cycle adds the inert cycle's
          *  increments once, so a skip cannot be told apart from
-         *  stepping every cycle; a core already known to be inert is
-         *  re-entered in O(1) without re-evaluating the pipeline. */
+         *  stepping every cycle. */
         Exact,
     };
 
@@ -80,6 +79,12 @@ class CoreComplex : public Snapshotable
      * the manager could deliver it, inflating simulated time.
      *
      * @param accounting how the skipped stall cycles are counted.
+     *
+     * Under either accounting, a core a full evaluation found inert
+     * is re-entered in O(1) until its next wake: the inert cycle's
+     * counter increments are added without evaluating the pipeline
+     * again, so every counter and clock ends as a full evaluation
+     * would leave it.
      */
     CycleOutcome cycle(Tick max_local,
                        std::uint32_t skip_budget = 0xffffffff,
@@ -88,7 +93,7 @@ class CoreComplex : public Snapshotable
 
     /**
      * @return the earliest cycle at which this core may emit a
-     * message or change state: its clock, or, once an Exact cycle
+     * message or change state: its clock, or, once a full evaluation
      * found the core inert, the earlier of its next timer completion
      * and its InQ head (never below the clock). A delivery that
      * arrives later can only make the core wake earlier.
@@ -121,6 +126,14 @@ class CoreComplex : public Snapshotable
     /** @return committed micro-ops so far (core-thread side). */
     std::uint64_t committedUops() const { return core_.committedUops(); }
 
+    /** @return full pipeline evaluations so far (host-side work
+     *  count: never reset, rolled back or serialized). */
+    std::uint64_t evaluations() const { return evaluations_; }
+
+    /** @return O(1) re-entries of a core known to be inert (host-side
+     *  work count, like evaluations()). */
+    std::uint64_t inertReentries() const { return inertReentries_; }
+
     /** Zero this core's statistics (warmup discard). */
     void resetStats() { stats_ = CoreStats{}; }
 
@@ -145,12 +158,14 @@ class CoreComplex : public Snapshotable
 
     CoreId id_;
     CoreStats stats_;
-    /** Set by an Exact cycle that found the core inert; cleared by
-     *  any evaluated cycle and by restore(). Derived state: never
-     *  serialized. */
+    /** Set by a full evaluation that found the core inert; cleared
+     *  by the next full evaluation and by restore(). Derived state:
+     *  never serialized. */
     bool inert_ = false;
     /** The inert cycle's counter increments (valid while inert_). */
     CoreStats inertDelta_;
+    std::uint64_t evaluations_ = 0;
+    std::uint64_t inertReentries_ = 0;
     L1Cache l1d_;
     L1Cache l1i_;
     OooCore core_;

@@ -664,14 +664,18 @@ ParallelEngine::run()
                              [this] { board_.wakeAll(); });
     bool cancelled = false;
 
-    double last_progress_wall = 0.0;
     Tick last_global = 0;
+    // Wall time of the first round on which global time stood still;
+    // only such stalled rounds read the clock.
+    bool stalled = false;
+    std::chrono::steady_clock::time_point stalled_since;
 
     for (;;) {
         if (engine_.cancel && engine_.cancel->cancelled()) {
             cancelled = true;
             break;
         }
+        ++host_.managerRounds;
         // The board only matters as a sleep/wake channel; an inline
         // run never sleeps, so skip the two sharded sums.
         const std::uint64_t p0 = inlineMode() ? 0 : board_.sum();
@@ -859,11 +863,15 @@ ParallelEngine::run()
         if (cut == Cut::Stable)
             updatePacing(true, clocks);
 
-        // Watchdog on stalled global time.
+        // Watchdog on stalled global time. The window opens at the
+        // first round on which global time did not advance.
         if (global != last_global) {
             last_global = global;
-            last_progress_wall = secondsSince(t0);
-        } else if (secondsSince(t0) - last_progress_wall >
+            stalled = false;
+        } else if (!stalled) {
+            stalled = true;
+            stalled_since = std::chrono::steady_clock::now();
+        } else if (secondsSince(stalled_since) >
                    engine_.watchdogSeconds) {
             SLACKSIM_PANIC("parallel engine watchdog: no global ",
                            "progress, global=", global,
@@ -922,15 +930,18 @@ ParallelEngine::collectResult(double wall_seconds) const
     r.execCycles = sys_.maxLocalTime();
     r.globalCycles = sys_.globalTime();
     r.committedUops = sys_.totalCommittedUops();
+    r.host = host_;
+    r.host.wallSeconds = wall_seconds;
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
-        r.perCore.push_back(sys_.core(c).stats());
-        r.coreTotal.add(sys_.core(c).stats());
+        const CoreComplex &cc = sys_.core(c);
+        r.perCore.push_back(cc.stats());
+        r.coreTotal.add(cc.stats());
+        r.host.coreEvaluations += cc.evaluations();
+        r.host.inertReentries += cc.inertReentries();
     }
     r.uncore = sys_.uncoreStats();
     r.busQueueHistogram = sys_.uncore().busQueueHistogram();
     r.violations = sys_.violations();
-    r.host = host_;
-    r.host.wallSeconds = wall_seconds;
     r.intervals = mgr_.intervals();
     r.finalSlackBound = pacer_.currentBound();
     r.degradationLevel = recovery_.levelName();

@@ -101,7 +101,6 @@ SerialEngine::run()
     Tick committed_stale_since = 0;
     bool warmup_pending = engine_.warmupUops > 0;
     bool cancelled = false;
-    std::uint64_t round = 0;
     for (;;) {
         // Single host thread, never parked: polling once per round is
         // enough for prompt cooperative cancellation.
@@ -115,7 +114,7 @@ SerialEngine::run()
         // Rotate the per-round service order: a fixed order would
         // batch every core's requests at the same timestamps each
         // round, a resonance a real multi-threaded host does not have.
-        ++round;
+        const std::uint64_t round = ++host_.managerRounds;
         for (CoreId i = 0; i < sys_.numCores(); ++i) {
             const CoreId c = static_cast<CoreId>(
                 (i + round) % sys_.numCores());
@@ -332,15 +331,18 @@ SerialEngine::collectResult(double wall_seconds) const
     r.execCycles = sys_.maxLocalTime();
     r.globalCycles = sys_.globalTime();
     r.committedUops = sys_.totalCommittedUops();
+    r.host = host_;
+    r.host.wallSeconds = wall_seconds;
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
-        r.perCore.push_back(sys_.core(c).stats());
-        r.coreTotal.add(sys_.core(c).stats());
+        const CoreComplex &cc = sys_.core(c);
+        r.perCore.push_back(cc.stats());
+        r.coreTotal.add(cc.stats());
+        r.host.coreEvaluations += cc.evaluations();
+        r.host.inertReentries += cc.inertReentries();
     }
     r.uncore = sys_.uncoreStats();
     r.busQueueHistogram = sys_.uncore().busQueueHistogram();
     r.violations = sys_.violations();
-    r.host = host_;
-    r.host.wallSeconds = wall_seconds;
     r.intervals = mgr_.intervals();
     r.finalSlackBound = pacer_.currentBound();
     r.degradationLevel = recovery_.levelName();

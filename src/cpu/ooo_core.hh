@@ -117,6 +117,7 @@ class OooCore : public Snapshotable
         std::uint8_t done = 0;
         std::uint8_t waitingFill = 0;
         std::uint16_t sync = 0;
+        std::uint16_t pad = 0; //!< named padding: copied raw
     };
 
     /** One store-buffer slot. */

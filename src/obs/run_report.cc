@@ -133,6 +133,9 @@ writeResultSection(JsonWriter &w, const RunResult &r)
     w.field("replay_cycles", r.host.replayCycles);
     w.field("slack_adjustments", r.host.slackAdjustments);
     w.field("manager_wakeups", r.host.managerWakeups);
+    w.field("manager_rounds", r.host.managerRounds);
+    w.field("core_evaluations", r.host.coreEvaluations);
+    w.field("inert_reentries", r.host.inertReentries);
     w.field("max_observed_slack", r.host.maxObservedSlack);
     w.field("host_threads_used",
             static_cast<std::uint64_t>(r.host.hostThreadsUsed));

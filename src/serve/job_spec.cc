@@ -133,11 +133,9 @@ getUint(const json::Value &doc, const char *key, std::uint64_t *out,
         std::string *error)
 {
     const json::Value &v = doc.at(key);
-    if (!v.isNumber() || v.number < 0 ||
-        v.number != static_cast<double>(
-                        static_cast<std::uint64_t>(v.number))) {
+    if (!v.isNumber() || !json::isUint64(v.number)) {
         *error = std::string("key '") + key +
-                 "' expects a non-negative integer";
+                 "' expects a non-negative integer below 2^64";
         return false;
     }
     *out = static_cast<std::uint64_t>(v.number);

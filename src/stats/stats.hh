@@ -171,6 +171,12 @@ struct HostStats
     std::uint64_t slackAdjustments = 0; //!< adaptive bound changes
     std::uint64_t managerWakeups = 0;
     std::uint64_t coreParkEvents = 0;
+    /** The engine's own work: manager loop iterations, full core
+     *  pipeline evaluations, and O(1) re-entries of cores already
+     *  known to be inert (CoreComplex::cycle). */
+    std::uint64_t managerRounds = 0;
+    std::uint64_t coreEvaluations = 0;
+    std::uint64_t inertReentries = 0;
     /** Host threads the run actually used (manager + workers); 1
      *  for the serial engine and parallel inline mode. */
     std::uint32_t hostThreadsUsed = 1;

@@ -86,6 +86,7 @@ class L2Tags : public Snapshotable
         Addr tag = 0;
         std::uint8_t valid = 0;
         std::uint8_t dirty = 0;
+        std::uint8_t pad[2] = {}; //!< named padding: copied raw
         std::uint32_t lruStamp = 0;
     };
 

@@ -41,18 +41,25 @@ enum class MsgType : std::uint8_t {
 /** Which cache of the core a message concerns. */
 enum class CacheKind : std::uint8_t { Data = 0, Instr = 1 };
 
-/** One OutQ/InQ/GQ entry. */
+/**
+ * One OutQ/InQ/GQ entry. Checkpoints copy it raw, so its padding is
+ * named and always zero (util/snapshot.hh).
+ */
 struct BusMsg
 {
     Addr addr = 0;             //!< line-aligned address
     Tick ts = 0;               //!< local time the event takes effect
     SeqNum seq = 0;            //!< per-source order for tie-breaking
     MsgType type = MsgType::GetS;
+    std::uint8_t pad0[3] = {};
     CoreId src = invalidCore;  //!< originating/destination core
     CacheKind cache = CacheKind::Data;
     std::uint8_t grantState = 0;  //!< Fill: granted MesiState
     std::uint16_t sync = 0;       //!< lock/barrier id
+    std::uint32_t pad1 = 0;
 };
+
+static_assert(sizeof(BusMsg) == 40, "BusMsg padding must stay named");
 
 /** @return true for the request kinds that occupy the request bus. */
 constexpr bool

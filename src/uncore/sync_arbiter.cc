@@ -43,7 +43,7 @@ SyncArbiter::handle(const BusMsg &msg, std::vector<SyncGrantMsg> &out)
             SLACKSIM_ASSERT(lock.holder != msg.src,
                             "core ", msg.src, " re-acquires lock ",
                             msg.sync);
-            lock.waitQueue.push_back({msg.src, msg.ts});
+            lock.waitQueue.push_back({.core = msg.src, .ts = msg.ts});
             ++stats_->lockQueued;
         }
         break;

@@ -66,6 +66,7 @@ class SyncArbiter : public Snapshotable
     struct Waiter
     {
         CoreId core = invalidCore;
+        std::uint32_t pad = 0; //!< named padding: copied raw
         Tick ts = 0;
     };
 
@@ -80,6 +81,7 @@ class SyncArbiter : public Snapshotable
     {
         std::uint64_t arrivedMask = 0;
         std::uint32_t arrivedCount = 0;
+        std::uint32_t pad = 0; //!< named padding: copied raw
         Tick maxArrivalTs = 0;
     };
 

@@ -19,6 +19,7 @@
 #define SLACKSIM_UTIL_JSON_PARSE_HH
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -35,6 +36,17 @@ class ParseError : public std::runtime_error
   public:
     using std::runtime_error::runtime_error;
 };
+
+/**
+ * @return true when @p n is an integer in [0, 2^64): exactly the
+ * numbers whose cast to std::uint64_t is defined (NaN is not). Check
+ * before casting any number a client sent.
+ */
+inline bool
+isUint64(double n)
+{
+    return n >= 0 && n < 0x1p64 && n == std::trunc(n);
+}
 
 /** One parsed JSON value (recursive DOM node). */
 struct Value
@@ -92,14 +104,9 @@ struct Value
     asUint() const
     {
         const double n = asNumber();
-        if (n < 0)
-            throw ParseError("json: negative, expected uint");
+        if (!isUint64(n))
+            throw ParseError("json: expected an integer in [0, 2^64)");
         return static_cast<std::uint64_t>(n);
-    }
-
-    std::int64_t asInt() const
-    {
-        return static_cast<std::int64_t>(asNumber());
     }
 
     const std::string &

@@ -43,24 +43,33 @@ class SnapshotWriter
         buf_.clear();
     }
 
-    /** Serialize one trivially-copyable value. */
+    /**
+     * Serialize one value by copying its bytes raw. The type must be
+     * trivially copyable with no padding and no floating point, so an
+     * image depends only on the state it holds: two images of one
+     * state have the same bytes and checksum.
+     */
     template <typename T>
     void
     put(const T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "put() requires a trivially copyable type");
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "put() copies bytes raw: the type must be "
+                      "trivially copyable with no padding (name it as "
+                      "a zeroed member)");
         const auto *bytes = reinterpret_cast<const std::uint8_t *>(&value);
         buf_.insert(buf_.end(), bytes, bytes + sizeof(T));
     }
 
-    /** Serialize a vector of trivially-copyable values. */
+    /** Serialize a vector of values, each as put() would. */
     template <typename T>
     void
     putVector(const std::vector<T> &values)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "putVector() requires a trivially copyable type");
+        static_assert(std::has_unique_object_representations_v<T>,
+                      "putVector() copies bytes raw: the element must "
+                      "be trivially copyable with no padding (name it "
+                      "as a zeroed member)");
         put<std::uint64_t>(values.size());
         if (!values.empty()) {
             const auto *bytes =

@@ -4,8 +4,17 @@
  *
  * Used for the per-core OutQ (core thread -> manager thread) and InQ
  * (manager thread -> core thread). The design matches the classic
- * Lamport queue with C++11 acquire/release pairs; capacity is rounded
- * up to a power of two so index wrapping is a mask.
+ * Lamport queue with C++11 acquire/release pairs. The capacity is
+ * rounded up to a power of two and the head and tail indices run
+ * free (they are reduced modulo the ring size only to address a
+ * slot), so a ring of N slots holds exactly N elements: full is
+ * `tail - head == N`, and no slot is sacrificed to tell full from
+ * empty.
+ *
+ * Slot storage is allocated, not constructed: the element type must be
+ * trivially copyable, and a slot is first written by the push that
+ * fills it. A large ring therefore costs resident memory only for the
+ * pages its traffic has reached, not for its whole capacity.
  *
  * Two refinements over the textbook queue keep the hot paths cheap:
  *
@@ -26,8 +35,12 @@
 #ifndef SLACKSIM_UTIL_SPSC_QUEUE_HH
 #define SLACKSIM_UTIL_SPSC_QUEUE_HH
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "util/logging.hh"
@@ -36,8 +49,8 @@ namespace slacksim {
 
 /**
  * Bounded SPSC FIFO. Exactly one thread may call the producer
- * operations push()/pushN()/full(); exactly one (possibly different)
- * thread may call the consumer operations
+ * operations push()/pushN()/full()/hasFreeSpace(); exactly one
+ * (possibly different) thread may call the consumer operations
  * pop()/popN()/consumeAll()/front()/popFront()/empty().
  * The quiesced*() helpers may only be used while both sides are parked
  * (e.g. during checkpoint/rollback).
@@ -45,20 +58,20 @@ namespace slacksim {
 template <typename T>
 class SpscQueue
 {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "SpscQueue slots are raw storage: the element must "
+                  "be trivially copyable");
+
   public:
-    /** @param capacity minimum number of storable elements. */
+    /** @param capacity minimum number of storable elements; the ring
+     *  holds exactly std::bit_ceil(capacity) of them. */
     explicit SpscQueue(std::size_t capacity = 1024)
-        : mask_(roundUpPow2(capacity + 1) - 1),
-          slots_(mask_ + 1)
+        : mask_(std::bit_ceil(capacity == 0 ? 1 : capacity) - 1),
+          slots_(std::allocator<T>{}.allocate(mask_ + 1))
     {
-        // The index arithmetic below relies on the slot count being a
-        // power of two (wrapping is a mask, and head/tail distances
-        // stay exact modulo the ring size).
-        SLACKSIM_ASSERT((slots_.size() & (slots_.size() - 1)) == 0,
-                        "SpscQueue slot count must be a power of two");
-        SLACKSIM_ASSERT(mask_ + 1 == slots_.size(),
-                        "SpscQueue mask/slot mismatch");
     }
+
+    ~SpscQueue() { std::allocator<T>{}.deallocate(slots_, mask_ + 1); }
 
     SpscQueue(const SpscQueue &) = delete;
     SpscQueue &operator=(const SpscQueue &) = delete;
@@ -68,14 +81,13 @@ class SpscQueue
     push(const T &value)
     {
         const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t next = (tail + 1) & mask_;
-        if (next == headCache_) {
+        if (tail - headCache_ > mask_) {
             headCache_ = head_.load(std::memory_order_acquire);
-            if (next == headCache_)
+            if (tail - headCache_ > mask_)
                 return false;
         }
-        slots_[tail] = value;
-        tail_.store(next, std::memory_order_release);
+        std::construct_at(slot(tail), value);
+        tail_.store(tail + 1, std::memory_order_release);
         return true;
     }
 
@@ -88,18 +100,16 @@ class SpscQueue
     pushN(const T *items, std::size_t n)
     {
         const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        std::size_t free = (headCache_ - tail - 1) & mask_;
+        std::size_t free = capacity() - (tail - headCache_);
         if (free < n) {
             headCache_ = head_.load(std::memory_order_acquire);
-            free = (headCache_ - tail - 1) & mask_;
+            free = capacity() - (tail - headCache_);
         }
         const std::size_t count = n < free ? n : free;
         for (std::size_t i = 0; i < count; ++i)
-            slots_[(tail + i) & mask_] = items[i];
-        if (count) {
-            tail_.store((tail + count) & mask_,
-                        std::memory_order_release);
-        }
+            std::construct_at(slot(tail + i), items[i]);
+        if (count)
+            tail_.store(tail + count, std::memory_order_release);
         return count;
     }
 
@@ -113,7 +123,7 @@ class SpscQueue
             if (head == tailCache_)
                 return nullptr;
         }
-        return &slots_[head];
+        return slot(head);
     }
 
     /** Consumer: remove the oldest element. @return false if empty. */
@@ -126,8 +136,8 @@ class SpscQueue
             if (head == tailCache_)
                 return false;
         }
-        out = slots_[head];
-        head_.store((head + 1) & mask_, std::memory_order_release);
+        out = *slot(head);
+        head_.store(head + 1, std::memory_order_release);
         return true;
     }
 
@@ -139,18 +149,16 @@ class SpscQueue
     popN(T *out, std::size_t max)
     {
         const std::size_t head = head_.load(std::memory_order_relaxed);
-        std::size_t avail = (tailCache_ - head) & mask_;
+        std::size_t avail = tailCache_ - head;
         if (avail < max) {
             tailCache_ = tail_.load(std::memory_order_acquire);
-            avail = (tailCache_ - head) & mask_;
+            avail = tailCache_ - head;
         }
         const std::size_t count = max < avail ? max : avail;
         for (std::size_t i = 0; i < count; ++i)
-            out[i] = slots_[(head + i) & mask_];
-        if (count) {
-            head_.store((head + count) & mask_,
-                        std::memory_order_release);
-        }
+            out[i] = *slot(head + i);
+        if (count)
+            head_.store(head + count, std::memory_order_release);
         return count;
     }
 
@@ -170,24 +178,21 @@ class SpscQueue
         const std::size_t head = head_.load(std::memory_order_relaxed);
         const std::size_t tail = tail_.load(std::memory_order_acquire);
         tailCache_ = tail;
-        std::size_t count = 0;
-        for (std::size_t i = head; i != tail; i = (i + 1) & mask_) {
-            fn(static_cast<const T &>(slots_[i]));
-            ++count;
-        }
-        if (count)
+        for (std::size_t i = head; i != tail; ++i)
+            fn(static_cast<const T &>(*slot(i)));
+        if (tail != head)
             head_.store(tail, std::memory_order_release);
-        return count;
+        return tail - head;
     }
 
     /** Consumer: drop the oldest element (must exist). */
     void
     popFront()
     {
-        const std::size_t head = head_.load(std::memory_order_relaxed);
-        SLACKSIM_ASSERT(head != tail_.load(std::memory_order_acquire),
-                        "popFront on empty SpscQueue");
-        head_.store((head + 1) & mask_, std::memory_order_release);
+        // front() keeps the tail mirror at or past the new head.
+        SLACKSIM_ASSERT(front() != nullptr, "popFront on empty SpscQueue");
+        head_.store(head_.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
     }
 
     /** Consumer-side emptiness check. */
@@ -206,10 +211,10 @@ class SpscQueue
     hasFreeSpace(std::size_t n) const
     {
         const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        std::size_t free = (headCache_ - tail - 1) & mask_;
+        std::size_t free = capacity() - (tail - headCache_);
         if (free < n) {
             headCache_ = head_.load(std::memory_order_acquire);
-            free = (headCache_ - tail - 1) & mask_;
+            free = capacity() - (tail - headCache_);
         }
         return free >= n;
     }
@@ -218,32 +223,28 @@ class SpscQueue
     bool
     full() const
     {
-        const std::size_t tail = tail_.load(std::memory_order_relaxed);
-        const std::size_t next = (tail + 1) & mask_;
-        if (next != headCache_)
-            return false;
-        headCache_ = head_.load(std::memory_order_acquire);
-        return next == headCache_;
+        return !hasFreeSpace(1);
     }
 
     /**
      * Element count. Both indices are loaded with acquire order, but
      * they cannot be read atomically *together*, so while the other
      * endpoint is live the result is a snapshot that may already be
-     * stale by one in-flight element in either direction. It is exact
-     * only when both endpoints are quiesced (checkpoint paths) or
-     * when called by the sole endpoint that mutates the queue.
+     * stale by in-flight elements in either direction (it is clamped
+     * to capacity()). It is exact only when both endpoints are
+     * quiesced (checkpoint paths) or when called by the sole endpoint
+     * that mutates the queue.
      */
     std::size_t
     size() const
     {
         const std::size_t head = head_.load(std::memory_order_acquire);
         const std::size_t tail = tail_.load(std::memory_order_acquire);
-        return (tail - head) & mask_;
+        return std::min(tail - head, capacity());
     }
 
-    /** Maximum number of storable elements. */
-    std::size_t capacity() const { return mask_; }
+    /** Maximum number of storable elements: a power of two. */
+    std::size_t capacity() const { return mask_ + 1; }
 
     /**
      * Copy the queue contents front-to-back. Requires both endpoints
@@ -253,12 +254,11 @@ class SpscQueue
     quiescedContents() const
     {
         std::vector<T> out;
-        std::size_t head = head_.load(std::memory_order_acquire);
+        const std::size_t head = head_.load(std::memory_order_acquire);
         const std::size_t tail = tail_.load(std::memory_order_acquire);
-        while (head != tail) {
-            out.push_back(slots_[head]);
-            head = (head + 1) & mask_;
-        }
+        out.reserve(tail - head);
+        for (std::size_t i = head; i != tail; ++i)
+            out.push_back(*slot(i));
         return out;
     }
 
@@ -272,32 +272,21 @@ class SpscQueue
         SLACKSIM_ASSERT(items.size() <= capacity(),
                         "quiescedAssign overflow");
         head_.store(0, std::memory_order_relaxed);
-        tail_.store(0, std::memory_order_relaxed);
         // The mirrors are conservative (they make the queue look
         // *more* full/empty than it is), so resetting them here while
         // everything is parked is safe for both endpoints.
         headCache_ = 0;
         tailCache_ = 0;
-        std::size_t tail = 0;
-        for (const T &item : items) {
-            slots_[tail] = item;
-            tail = (tail + 1) & mask_;
-        }
-        tail_.store(tail, std::memory_order_release);
+        for (std::size_t i = 0; i < items.size(); ++i)
+            std::construct_at(slot(i), items[i]);
+        tail_.store(items.size(), std::memory_order_release);
     }
 
   private:
-    static std::size_t
-    roundUpPow2(std::size_t v)
-    {
-        std::size_t p = 1;
-        while (p < v)
-            p <<= 1;
-        return p;
-    }
+    T *slot(std::size_t index) const { return slots_ + (index & mask_); }
 
     const std::size_t mask_;
-    std::vector<T> slots_;
+    T *const slots_;
     /** Consumer-owned line: real head plus the consumer's cached view
      *  of the producer's tail. */
     alignas(64) std::atomic<std::size_t> head_{0};

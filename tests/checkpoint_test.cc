@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
+#include "core/manager_logic.hh"
 #include "core/run.hh"
 #include "core/sim_system.hh"
+#include "util/checksum.hh"
 #include "workload/kernels.hh"
 
 using namespace slacksim;
@@ -262,4 +267,81 @@ TEST(SimSystem, AccessorsOnFreshWorld)
     EXPECT_FALSE(sys.allFinished());
     EXPECT_EQ(sys.totalCommittedUops(), 0u);
     EXPECT_EQ(sys.workload().name, "pingpong");
+}
+
+namespace {
+
+/**
+ * Build a world, drive it for @p rounds serial rounds of up to 16
+ * cycles per core under sorted service (so staged events stay in the
+ * image), then seal the world and its manager into one image the way
+ * a checkpoint does.
+ */
+std::vector<std::uint8_t>
+steppedImage(const SimConfig &config, int rounds)
+{
+    SimSystem sys(config);
+    HostStats host;
+    ManagerLogic mgr(sys, config.engine, &host);
+    mgr.setSorted(true);
+    for (int i = 0; i < rounds; ++i) {
+        const Tick limit = sys.globalTime() + 15;
+        for (CoreId c = 0; c < sys.numCores(); ++c) {
+            CoreComplex &cc = sys.core(c);
+            while (!cc.finished() && cc.localTime() <= limit &&
+                   cc.cycle(limit) ==
+                       CoreComplex::CycleOutcome::Progress) {
+            }
+        }
+        mgr.pumpAll();
+        mgr.serviceSorted(sys.globalTime());
+        mgr.flushOverflow();
+    }
+    SnapshotWriter w;
+    sys.save(w);
+    mgr.save(w);
+    std::vector<std::uint8_t> image = w.release();
+    sealSnapshot(image);
+    return image;
+}
+
+/** Leave junk in freed heap blocks and in the stack below this
+ *  frame, where the next world's objects will be built. */
+void
+dirtyHeapAndStack()
+{
+    std::vector<std::unique_ptr<unsigned char[]>> blocks;
+    for (std::size_t size = 16; size <= (std::size_t{1} << 20);
+         size *= 2) {
+        for (int i = 0; i < 8; ++i) {
+            blocks.emplace_back(new unsigned char[size]);
+            std::memset(blocks.back().get(), 0xa5, size);
+        }
+    }
+    volatile unsigned char stack[64 * 1024];
+    for (std::size_t i = 0; i < sizeof(stack); ++i)
+        stack[i] = 0x5a;
+}
+
+} // namespace
+
+TEST(SimSystem, CheckpointImagesAreByteReproducible)
+{
+    // Every struct a checkpoint copies raw has named, zeroed padding
+    // (util/snapshot.hh asserts it), so an image holds only state:
+    // two worlds driven alike seal to the same bytes and XXH64, even
+    // when the memory the second is built in was dirty.
+    SimConfig config = measureConfig("pingpong", 1000, false);
+    config.workload.iters = 400;
+    const std::vector<std::uint8_t> first = steppedImage(config, 60);
+    dirtyHeapAndStack();
+    const std::vector<std::uint8_t> second = steppedImage(config, 60);
+    ASSERT_GT(first.size(), snapshotTrailerBytes);
+    EXPECT_EQ(first.size(), second.size());
+    EXPECT_TRUE(first == second) << "checkpoint images differ";
+    EXPECT_TRUE(verifySnapshot(first).has_value());
+    EXPECT_EQ(std::memcmp(first.data() + first.size() - 8,
+                          second.data() + second.size() - 8, 8),
+              0)
+        << "XXH64 trailers differ";
 }

@@ -5,7 +5,9 @@
  * the next relevant time instead of burning one host step per stall
  * cycle, clamp at the pacing limit, and report WaitInbound when
  * free-running with nothing to do. Under exact accounting a skip must
- * leave the same clock and counters as stepping every cycle.
+ * leave the same clock and counters as stepping every cycle; under
+ * either accounting, re-entering a core known to be inert in O(1)
+ * must leave what a full evaluation of every visit leaves.
  */
 
 #include <gtest/gtest.h>
@@ -211,12 +213,16 @@ answerRequests(CoreComplex &cc)
 
 } // namespace
 
-TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
+namespace {
+
+/**
+ * Loads and stores to fresh lines fill the ROB, the store buffer and
+ * the MSHRs while their fills are in flight; locks and barriers stall
+ * the ROB head. Every stall counter moves.
+ */
+TraceProgram
+stallingTrace()
 {
-    // Loads and stores to fresh lines fill the ROB, the store buffer
-    // and the MSHRs while their fills are in flight; locks and
-    // barriers stall the ROB head. Every stall counter moves.
-    SimConfig config = oneCoreConfig();
     TraceProgram prog;
     prog.codeFootprint = 4096;
     TraceBuilder b(prog);
@@ -233,6 +239,49 @@ TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
             b.barrier(0);
     }
     b.end();
+    return prog;
+}
+
+/**
+ * Advance @p cc with a full pipeline evaluation, never an O(1)
+ * re-entry: restoring the core from its own snapshot leaves every
+ * counter, clock and queue as it was but clears what it knew about
+ * being inert.
+ */
+CoreComplex::CycleOutcome
+evaluateInFull(CoreComplex &cc, Tick max_local,
+               std::uint32_t skip_budget = 0xffffffff,
+               CoreComplex::StallAccounting accounting =
+                   CoreComplex::StallAccounting::Idle)
+{
+    SnapshotWriter w;
+    cc.save(w);
+    SnapshotReader r(w.bytes());
+    cc.restore(r);
+    return cc.cycle(max_local, skip_budget, accounting);
+}
+
+/** Answer both cores' requests and require they made the same ones. */
+void
+expectSameRequests(CoreComplex &want_core, CoreComplex &got_core)
+{
+    const auto want = answerRequests(want_core);
+    const auto got = answerRequests(got_core);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].type, got[i].type);
+        EXPECT_EQ(want[i].addr, got[i].addr);
+        EXPECT_EQ(want[i].ts, got[i].ts);
+        EXPECT_EQ(want[i].seq, got[i].seq);
+    }
+}
+
+} // namespace
+
+TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
+{
+    SimConfig config = oneCoreConfig();
+    const TraceProgram prog = stallingTrace();
     CoreComplex stepped(config, 0, &prog, 0x10000);
     CoreComplex skipping(config, 0, &prog, 0x10000);
 
@@ -246,23 +295,18 @@ TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
         ++skip_calls;
         while (stepped.localTime() < skipping.localTime() &&
                !stepped.finished()) {
-            stepped.cycle(stepped.localTime()); // one cycle per call
+            // One fully evaluated cycle per call.
+            evaluateInFull(stepped, stepped.localTime());
             ++step_calls;
         }
         ASSERT_EQ(stepped.localTime(), skipping.localTime());
         ASSERT_TRUE(stepped.stats() == skipping.stats())
             << "diverged at cycle " << skipping.localTime();
-        const auto want = answerRequests(stepped);
-        const auto got = answerRequests(skipping);
-        ASSERT_EQ(want.size(), got.size());
-        for (std::size_t i = 0; i < want.size(); ++i) {
-            EXPECT_EQ(want[i].type, got[i].type);
-            EXPECT_EQ(want[i].addr, got[i].addr);
-            EXPECT_EQ(want[i].ts, got[i].ts);
-        }
+        expectSameRequests(stepped, skipping);
     }
     EXPECT_TRUE(skipping.finished());
     EXPECT_TRUE(stepped.finished());
+    EXPECT_EQ(stepped.inertReentries(), 0u);
     const CoreStats &s = skipping.stats();
     EXPECT_EQ(s.idleCycles, 0u); // exact skips never count idle time
     for (const std::uint64_t stalls :
@@ -273,3 +317,48 @@ TEST(CoreComplexSkip, ExactSkipMatchesSteppingEveryCycle)
     // The skipping core spent far fewer calls on the same cycles.
     EXPECT_LT(skip_calls * 2, step_calls);
 }
+
+/** Slack pacing windows: max_local = clock + window - 1. */
+class IdleReentry : public ::testing::TestWithParam<Tick>
+{
+};
+
+TEST_P(IdleReentry, MatchesFullEvaluationAfterEveryCall)
+{
+    // Two cores see the same calls under slack (Idle) accounting. The
+    // reference evaluates its pipeline on every call; the other
+    // re-enters in O(1) while it knows it is inert. Outcomes, clocks,
+    // counters and requests must agree after every call.
+    const Tick window = GetParam();
+    SimConfig config = oneCoreConfig();
+    const TraceProgram prog = stallingTrace();
+    CoreComplex reference(config, 0, &prog, 0x10000);
+    CoreComplex reentering(config, 0, &prog, 0x10000);
+
+    std::size_t calls = 0;
+    while (!reentering.finished() && calls < 200000) {
+        const Tick max_local = reentering.localTime() + window - 1;
+        // Vary the skip budget as an engine's burst remainder does.
+        const auto budget = static_cast<std::uint32_t>(1 + calls % 7);
+        const auto got = reentering.cycle(max_local, budget);
+        const auto want = evaluateInFull(reference, max_local, budget);
+        ++calls;
+        ASSERT_EQ(want, got) << "call " << calls;
+        ASSERT_EQ(reference.localTime(), reentering.localTime());
+        ASSERT_TRUE(reference.stats() == reentering.stats())
+            << "diverged at cycle " << reentering.localTime();
+        expectSameRequests(reference, reentering);
+    }
+    EXPECT_TRUE(reentering.finished());
+    EXPECT_TRUE(reference.finished());
+    EXPECT_EQ(reference.inertReentries(), 0u);
+    EXPECT_GT(reentering.inertReentries(), 0u);
+    EXPECT_EQ(reentering.evaluations() + reentering.inertReentries(),
+              reference.evaluations());
+    if (window > 1) {
+        EXPECT_GT(reentering.stats().idleCycles, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PacingWindows, IdleReentry,
+                         ::testing::Values<Tick>(1, 4, 64));

@@ -32,7 +32,7 @@ namespace {
 
 TEST(SpscQueueBatch, PushNRespectsCapacity)
 {
-    SpscQueue<int> q(8); // rounds up; capacity() reports true limit
+    SpscQueue<int> q(8); // a power of two: exactly 8 fit
     std::vector<int> items(q.capacity() + 5);
     for (std::size_t i = 0; i < items.size(); ++i)
         items[i] = static_cast<int>(i);
@@ -46,6 +46,35 @@ TEST(SpscQueueBatch, PushNRespectsCapacity)
     EXPECT_TRUE(q.pop(out));
     EXPECT_EQ(out, 0);
     EXPECT_TRUE(q.hasFreeSpace(1));
+}
+
+TEST(SpscQueueBatch, PushNStopsAtCapacityAcrossWrapAround)
+{
+    // A ring of 8 slots takes exactly 8 elements from every start
+    // position, in one batch or in several.
+    constexpr std::size_t cap = 8;
+    int items[cap + 3];
+    for (std::size_t i = 0; i < cap + 3; ++i)
+        items[i] = static_cast<int>(i);
+    for (std::size_t skew = 0; skew <= 2 * cap; ++skew) {
+        SpscQueue<int> q(cap);
+        ASSERT_EQ(q.capacity(), cap);
+        int out[cap + 3];
+        for (std::size_t i = 0; i < skew; ++i) {
+            ASSERT_EQ(q.pushN(items, 1), 1u);
+            ASSERT_EQ(q.popN(out, 1), 1u);
+        }
+        EXPECT_EQ(q.pushN(items, 3), 3u);
+        EXPECT_TRUE(q.hasFreeSpace(cap - 3));
+        EXPECT_FALSE(q.hasFreeSpace(cap - 2));
+        EXPECT_EQ(q.pushN(items + 3, cap), cap - 3) << "skew " << skew;
+        EXPECT_TRUE(q.full());
+        EXPECT_EQ(q.pushN(items, 1), 0u);
+        EXPECT_EQ(q.popN(out, cap + 3), cap);
+        for (std::size_t i = 0; i < cap; ++i)
+            EXPECT_EQ(out[i], static_cast<int>(i));
+        EXPECT_TRUE(q.empty());
+    }
 }
 
 TEST(SpscQueueBatch, PopNAndConsumeAllPreserveOrder)

@@ -119,6 +119,7 @@ expectSchemaComplete(const jsonlite::Value &doc)
          {"checkpoints", "checkpoint_bytes", "checkpoint_seconds",
           "checkpoint_async_seconds", "rollbacks", "wasted_cycles",
           "replay_cycles", "slack_adjustments", "manager_wakeups",
+          "manager_rounds", "core_evaluations", "inert_reentries",
           "max_observed_slack", "host_threads_used"}) {
         EXPECT_TRUE(result.at("host").has(key)) << "result.host." << key;
     }
@@ -227,6 +228,16 @@ TEST(RunReport, SerialAdaptiveSchemaAndAttribution)
     EXPECT_EQ(doc.at("result").at("final_slack_bound").asUint(),
               r.finalSlackBound);
     EXPECT_FALSE(doc.at("config").at("parallel_host").asBool());
+
+    // The engine's own work counts mirror the in-process result.
+    const auto &host = doc.at("result").at("host");
+    EXPECT_GT(r.host.managerRounds, 0u);
+    EXPECT_GT(r.host.coreEvaluations, 0u);
+    EXPECT_GT(r.host.inertReentries, 0u);
+    EXPECT_EQ(host.at("manager_rounds").asUint(), r.host.managerRounds);
+    EXPECT_EQ(host.at("core_evaluations").asUint(),
+              r.host.coreEvaluations);
+    EXPECT_EQ(host.at("inert_reentries").asUint(), r.host.inertReentries);
 
     // The decision log replays every slack-bound change.
     const auto &decisions = doc.at("forensics").at("decisions").array;

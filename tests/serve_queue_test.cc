@@ -251,6 +251,25 @@ TEST(JobSpecTest, BadFaultKindGetsDidYouMean)
               std::string::npos);
 }
 
+TEST(JobSpecTest, RejectsNumbersOutsideUint64BeforeCasting)
+{
+    // 1e20 lies past 2^64 and -1 below 0: neither has a uint64 value,
+    // so each is rejected by key instead of cast.
+    for (const char *seed : {"1e20", "-1", "18446744073709551616", "0.5"}) {
+        const std::string error = parseError(
+            std::string(R"({"kernel": "fft", "seed": )") + seed + "}");
+        EXPECT_NE(error.find("'seed'"), std::string::npos)
+            << seed << ": " << error;
+    }
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseSpec(
+        R"({"kernel": "fft", "seed": 18446744073709549568})", &spec,
+        &error))
+        << error;
+    EXPECT_EQ(spec.seed, 18446744073709549568ull);
+}
+
 TEST(JobSpecTest, RejectsOutOfRangeValues)
 {
     EXPECT_NE(parseError(R"({"kernel": "fft", "cores": 0})")

@@ -1,18 +1,25 @@
 /**
  * @file
- * Unit tests for the util layer: RNG, SPSC queue, snapshots, JSON
- * escaping and encoding, options parsing and table formatting.
+ * Unit tests for the util layer: RNG, SPSC queue (capacity, wrap-around
+ * and slot residency), snapshots, JSON escaping, encoding and number
+ * conversion, options parsing and table formatting.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "stats/table.hh"
+#include "uncore/msg.hh"
 #include "util/json.hh"
+#include "util/json_parse.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/snapshot.hh"
@@ -151,6 +158,127 @@ TEST(SpscQueue, QuiescedContentsRoundTrip)
     EXPECT_TRUE(r.empty());
 }
 
+namespace {
+
+/** Push @p skew elements through @p q so that its indices sit
+ *  @p skew slots into the ring. */
+void
+skewIndices(SpscQueue<int> &q, std::size_t skew)
+{
+    int v = 0;
+    for (std::size_t i = 0; i < skew; ++i) {
+        ASSERT_TRUE(q.push(-1));
+        ASSERT_TRUE(q.pop(v));
+    }
+}
+
+/** @return this process's resident set (VmRSS) in KiB. */
+std::size_t
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoul(line.substr(6));
+    }
+    return 0;
+}
+
+} // namespace
+
+TEST(SpscQueue, CapacityIsTheRequestRoundedUpToAPowerOfTwo)
+{
+    for (const std::size_t requested :
+         {1u, 2u, 3u, 4u, 5u, 63u, 64u, 100u, 4096u, 4097u}) {
+        SpscQueue<int> q(requested);
+        EXPECT_EQ(q.capacity(), std::bit_ceil(requested)) << requested;
+    }
+}
+
+TEST(SpscQueue, StopsExactlyAtCapacityAcrossWrapAround)
+{
+    // Every start position in the ring: push, full and hasFreeSpace
+    // all agree that exactly capacity() elements fit.
+    constexpr std::size_t cap = 8;
+    for (std::size_t skew = 0; skew <= 2 * cap; ++skew) {
+        SpscQueue<int> q(cap);
+        ASSERT_EQ(q.capacity(), cap);
+        skewIndices(q, skew);
+        for (std::size_t i = 0; i < cap; ++i) {
+            EXPECT_FALSE(q.full()) << "skew " << skew << " at " << i;
+            EXPECT_TRUE(q.hasFreeSpace(cap - i));
+            EXPECT_FALSE(q.hasFreeSpace(cap - i + 1));
+            ASSERT_TRUE(q.push(static_cast<int>(i)));
+        }
+        EXPECT_TRUE(q.full()) << "skew " << skew;
+        EXPECT_FALSE(q.hasFreeSpace(1));
+        EXPECT_TRUE(q.hasFreeSpace(0));
+        EXPECT_FALSE(q.push(99));
+        EXPECT_EQ(q.size(), cap);
+        int v = -1;
+        for (std::size_t i = 0; i < cap; ++i) {
+            ASSERT_TRUE(q.pop(v));
+            EXPECT_EQ(v, static_cast<int>(i));
+        }
+        EXPECT_TRUE(q.empty());
+    }
+}
+
+TEST(SpscQueue, QuiescedRoundTripOfAFullRing)
+{
+    constexpr std::size_t cap = 16;
+    SpscQueue<int> q(cap);
+    skewIndices(q, 11); // the contents wrap past the ring's end
+    for (std::size_t i = 0; i < cap; ++i)
+        ASSERT_TRUE(q.push(static_cast<int>(100 + i)));
+    ASSERT_TRUE(q.full());
+    const std::vector<int> contents = q.quiescedContents();
+    ASSERT_EQ(contents.size(), cap);
+    for (std::size_t i = 0; i < cap; ++i)
+        EXPECT_EQ(contents[i], static_cast<int>(100 + i));
+
+    SpscQueue<int> r(cap);
+    skewIndices(r, 5);
+    r.quiescedAssign(contents);
+    EXPECT_TRUE(r.full());
+    EXPECT_FALSE(r.push(0));
+    EXPECT_EQ(r.quiescedContents(), contents);
+    int v = -1;
+    for (std::size_t i = 0; i < cap; ++i) {
+        ASSERT_TRUE(r.pop(v));
+        EXPECT_EQ(v, static_cast<int>(100 + i));
+    }
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(SpscQueue, SlotsBecomeResidentOnlyWhereWritten)
+{
+    // 1 Mi messages: 40 MiB of slots, more than this process has
+    // allocated before, so the ring gets fresh pages. Building it and
+    // carrying a few messages must not make the whole ring resident.
+    constexpr std::size_t slots = std::size_t{1} << 20;
+    const std::size_t ring_kib = slots * sizeof(BusMsg) / 1024;
+    const std::size_t before = residentKib();
+    ASSERT_GT(before, 0u) << "no VmRSS in /proc/self/status";
+
+    SpscQueue<BusMsg> q(slots);
+    ASSERT_EQ(q.capacity(), slots);
+    BusMsg msg;
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        msg.seq = i;
+        ASSERT_TRUE(q.push(msg));
+    }
+    const std::size_t after = residentKib();
+    EXPECT_LT(after, before + ring_kib / 8)
+        << "VmRSS grew from " << before << " to " << after
+        << " KiB for a " << ring_kib << " KiB ring";
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+        ASSERT_TRUE(q.pop(msg));
+        EXPECT_EQ(msg.seq, i);
+    }
+}
+
 TEST(SpscQueue, TwoThreadStress)
 {
     SpscQueue<std::uint64_t> q(256);
@@ -178,7 +306,7 @@ TEST(Snapshot, ScalarAndVectorRoundTrip)
     SnapshotWriter w;
     w.putMarker(1);
     w.put<std::uint32_t>(0xdeadbeef);
-    w.put<double>(3.25);
+    w.put<std::int64_t>(-325);
     std::vector<std::uint16_t> vec = {1, 2, 3, 4, 5};
     w.putVector(vec);
     w.putMarker(2);
@@ -186,7 +314,7 @@ TEST(Snapshot, ScalarAndVectorRoundTrip)
     SnapshotReader r(w.bytes());
     r.checkMarker(1);
     EXPECT_EQ(r.get<std::uint32_t>(), 0xdeadbeefu);
-    EXPECT_EQ(r.get<double>(), 3.25);
+    EXPECT_EQ(r.get<std::int64_t>(), -325);
     EXPECT_EQ(r.getVector<std::uint16_t>(), vec);
     r.checkMarker(2);
     EXPECT_TRUE(r.exhausted());
@@ -199,6 +327,25 @@ TEST(Snapshot, EmptyVector)
     SnapshotReader r(w.bytes());
     EXPECT_TRUE(r.getVector<int>().empty());
     EXPECT_TRUE(r.exhausted());
+}
+
+TEST(Json, AsUintChecksTheRangeBeforeCasting)
+{
+    EXPECT_EQ(json::parse("0").asUint(), 0u);
+    EXPECT_EQ(json::parse("4096").asUint(), 4096u);
+    // The largest double below 2^64.
+    EXPECT_EQ(json::parse("18446744073709549568").asUint(),
+              18446744073709549568ull);
+    for (const char *bad :
+         {"-1", "1e20", "18446744073709551616", "2.5", "-0.5", "1e999"}) {
+        EXPECT_THROW(json::parse(bad).asUint(), json::ParseError) << bad;
+    }
+    EXPECT_THROW(json::parse("\"7\"").asUint(), json::ParseError);
+    // NaN cannot be written in JSON, but a DOM can hold one.
+    json::Value nan = json::parse("0");
+    nan.number = std::nan("");
+    EXPECT_THROW(nan.asUint(), json::ParseError);
+    EXPECT_FALSE(json::isUint64(std::numeric_limits<double>::infinity()));
 }
 
 TEST(Json, EscapeAndEncodeRoundTripThroughTheParser)
