@@ -30,7 +30,8 @@ class TaskRunner;  // util/task_runner.hh
 /** The pacing scheme applied by the simulation manager. */
 enum class SchemeKind : std::uint8_t {
     CycleByCycle, //!< lock-step, sorted event service (gold standard)
-    Quantum,      //!< barrier every `quantum` cycles, sorted service
+    Quantum,      //!< barrier every `quantum` cycles, arrival-order
+                  //!< service
     Bounded,      //!< slack bound `slackBound`, arrival-order service
     Unbounded,    //!< free-running, arrival-order service
     Adaptive,     //!< bounded + violation-rate feedback control

@@ -60,14 +60,17 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
     // so W = hostThreads - 1 workers share the simulated cores; the
     // auto policy (hostThreads = 0) sizes from the machine so a
     // single-CPU host lands in inline mode (W = 0) where concurrency
-    // could only ever add park/wake overhead.
+    // could only ever add park/wake overhead. Sorted service is the
+    // manager's, so a cycle-by-cycle run launches no workers at all.
     std::uint32_t requested = engine_.hostThreads;
     if (requested == 0) {
         requested =
             std::max(1u, std::thread::hardware_concurrency());
     }
     const std::uint32_t want =
-        std::min<std::uint32_t>(sys_.numCores(), requested - 1);
+        pacer_.sortedService()
+            ? 0
+            : std::min<std::uint32_t>(sys_.numCores(), requested - 1);
     if (want > 0) {
         const CoreId per = (sys_.numCores() + want - 1) / want;
         for (std::uint32_t w = 0; w < want; ++w) {
@@ -131,7 +134,7 @@ ParallelEngine::flushWakes()
 }
 
 ParallelEngine::CoreRun
-ParallelEngine::runCoreBurst(CoreId c)
+ParallelEngine::runCoreBurst(CoreId c, bool by_manager)
 {
     CoreComplex &cc = sys_.core(c);
     CoreControl &ctl = *controls_[c];
@@ -142,10 +145,8 @@ ParallelEngine::runCoreBurst(CoreId c)
             // count.
             ctl.committed.store(cc.committedUops(),
                                 std::memory_order_relaxed);
-            ctl.committedAt.store(cc.localTime(),
-                                  std::memory_order_release);
             ctl.finished.store(true, std::memory_order_release);
-            if (inlineMode()) {
+            if (by_manager) {
                 // Final drain at the transition; a finished core
                 // emits nothing more, so later rounds skip it
                 // entirely (the serial engine rescans every round).
@@ -178,6 +179,9 @@ ParallelEngine::runCoreBurst(CoreId c)
         }
     }
 
+    // Only the manager serves sorted: it paces by the horizon and
+    // accounts skipped stall cycles exactly.
+    const bool sorted = by_manager && pacer_.sortedService();
     bool backpressured = false;
     bool wait_inbound = false;
     Tick advanced = 0;
@@ -190,7 +194,7 @@ ParallelEngine::runCoreBurst(CoreId c)
             ctl.maxLocal.load(std::memory_order_acquire);
         while (advanced < engine_.burstCycles) {
             Tick max_local = pinned_max_local;
-            if (!inlineMode()) {
+            if (!by_manager) {
                 max_local =
                     ctl.maxLocal.load(std::memory_order_acquire);
                 if (phase_.load(std::memory_order_relaxed) !=
@@ -206,11 +210,10 @@ ParallelEngine::runCoreBurst(CoreId c)
                 max_local,
                 engine_.burstCycles -
                     static_cast<std::uint32_t>(advanced),
-                horizonPacing_
-                    ? CoreComplex::StallAccounting::Exact
-                    : CoreComplex::StallAccounting::Idle);
+                sorted ? CoreComplex::StallAccounting::Exact
+                       : CoreComplex::StallAccounting::Idle);
             if (outcome == CoreComplex::CycleOutcome::Backpressure) {
-                if (horizonPacing_) {
+                if (sorted) {
                     // Sorted service only stages what a pump pulls,
                     // so drain and go on: every core then reaches the
                     // same clock each round, as stepping would leave
@@ -236,8 +239,7 @@ ParallelEngine::runCoreBurst(CoreId c)
         }
     }
     ctl.committed.store(cc.committedUops(), std::memory_order_relaxed);
-    ctl.committedAt.store(cc.localTime(), std::memory_order_release);
-    if (inlineMode()) {
+    if (by_manager) {
         // Single-thread run: pump this core's OutQ while its lines
         // are cache-hot, exactly the serial engine's queue-push
         // cadence. A burst that emitted nothing (an idle or skipping
@@ -271,7 +273,7 @@ ParallelEngine::driveInline()
     for (CoreId i = 0; i < n; ++i) {
         const CoreId c = static_cast<CoreId>((start + i) % n);
         const Tick before = sys_.core(c).localTime();
-        const CoreRun r = runCoreBurst(c);
+        const CoreRun r = runCoreBurst(c, true);
         lastRun_[c] = static_cast<std::uint8_t>(r);
         if (r == CoreRun::Progress)
             progress = true;
@@ -282,7 +284,7 @@ ParallelEngine::driveInline()
     // the slack rounds after a speculative replay then see the order
     // one-cycle replay rounds would have left.
     inlineRotate_ = static_cast<CoreId>(
-        (start + (horizonPacing_ ? covered % n : 1)) % n);
+        (start + (pacer_.sortedService() ? covered % n : 1)) % n);
     return progress;
 }
 
@@ -317,10 +319,15 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
                 if (watchdog_)
                     watchdog_->note(wc.first, "pause-ack", 0);
             }
+            // A resume and the next pause may both have landed since
+            // the generation was read (a replay can end and the next
+            // rollback begin within one manager round): never sleep
+            // through a generation this worker has not acknowledged.
             const std::uint32_t e =
                 resumeEpoch_.load(std::memory_order_acquire);
             if (phase_.load(std::memory_order_acquire) !=
                     phaseRunning &&
+                pauseGen_.load(std::memory_order_acquire) == acked_gen &&
                 !stop_.load(std::memory_order_acquire)) {
                 obs::Scope barrier(obs::Phase::Barrier);
                 resumeEpoch_.wait(e, std::memory_order_acquire);
@@ -342,7 +349,7 @@ ParallelEngine::workerThreadMain(std::uint32_t w)
              phase_.load(std::memory_order_relaxed) == phaseRunning &&
              !stop_.load(std::memory_order_relaxed);
              ++c) {
-            const CoreRun r = runCoreBurst(c);
+            const CoreRun r = runCoreBurst(c, false);
             lastRun_[c] = static_cast<std::uint8_t>(r);
             if (r == CoreRun::Progress)
                 progress = true;
@@ -471,44 +478,12 @@ ParallelEngine::sortedHorizon(Tick global) const
     return std::max(global + 1, eot + lookahead);
 }
 
-ParallelEngine::Cut
-ParallelEngine::sampleCut(const ClockSample &clocks) const
-{
-    // The inline mode checks at its own round ends, which are
-    // cuts already; slack schemes promise no exact stop.
-    if (inlineMode() || !pacer_.sortedService() ||
-        !(warmupPending_ || engine_.maxCommittedUops != 0) ||
-        clocks.minUnfinished == maxTick) {
-        return Cut::Free;
-    }
-    const Tick at = clocks.minUnfinished;
-    if (clocks.maxUnfinished != at)
-        return Cut::Moving;
-    bool published = true;
-    for (const auto &ctl : controls_) {
-        if (ctl->finished.load(std::memory_order_acquire))
-            continue;
-        // Only the manager raises maxLocal: a core paced below the
-        // cut stays there, so its published count cannot move.
-        if (ctl->maxLocal.load(std::memory_order_relaxed) >= at)
-            return Cut::Moving;
-        if (ctl->committedAt.load(std::memory_order_acquire) != at)
-            published = false;
-    }
-    return published && servicedBelow_ >= at ? Cut::Stable
-                                             : Cut::Pending;
-}
-
 void
-ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
+ParallelEngine::updatePacing(const ClockSample &sample)
 {
     const Tick boundary =
         ckpt_.enabled() ? ckpt_.nextCheckpointAt() - 1 : maxTick;
-    // Worker threads read the flag mid-burst, so only the inline
-    // mode, which has none, ever writes it.
-    if (inlineMode())
-        horizonPacing_ = pacer_.sortedService();
-    if (horizonPacing_) {
+    if (pacer_.sortedService()) {
         // The horizon shrinks near a uop threshold, so it is set, not
         // only raised. Nobody else reads maxLocal inline.
         const Tick target =
@@ -517,19 +492,13 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
             ctl->maxLocal.store(target, std::memory_order_relaxed);
         return;
     }
-    Tick global = sample.global;
-    if (pacer_.sortedService()) {
-        // Release no cycle whose inbound events are not all serviced:
-        // an injected backpressure burst skips service altogether.
-        global = std::min(global, servicedBelow_);
-    }
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
         const Tick target = std::min(
-            pacer_.maxLocalForCore(c, global, localsScratch_),
+            pacer_.maxLocalForCore(c, sample.global, localsScratch_),
             boundary);
         CoreControl &ctl = *controls_[c];
         const Tick cur = ctl.maxLocal.load(std::memory_order_relaxed);
-        if (monotone ? target > cur : target != cur) {
+        if (target > cur) {
             // With no worker threads the store has no reader to race
             // with; seq_cst (needed for the parked-recheck protocol)
             // would cost a full fence per core per iteration. Each
@@ -549,12 +518,6 @@ ParallelEngine::updatePacing(bool monotone, const ClockSample &sample)
     flushWakes();
 }
 
-void
-ParallelEngine::updatePacing(bool monotone)
-{
-    updatePacing(monotone, sampleClocks());
-}
-
 bool
 ParallelEngine::quiescedAtBoundary(Tick boundary) const
 {
@@ -572,6 +535,12 @@ ParallelEngine::quiescedAtBoundary(Tick boundary) const
 void
 ParallelEngine::pauseWorld()
 {
+    // While the manager drives a replay the workers already sit
+    // paused, and the acks of that pause still count: waiting on them
+    // again would return at once, and resumeWorld() would then
+    // release the workers mid-replay.
+    if (inlineMode())
+        return;
     // The manager side of the stop-the-world handshake: request,
     // wake, then wait for every ack.
     obs::Scope barrier(obs::Phase::Barrier);
@@ -590,6 +559,8 @@ ParallelEngine::pauseWorld()
 void
 ParallelEngine::resumeWorld()
 {
+    if (inlineMode())
+        return;
     ackCount_.store(0, std::memory_order_seq_cst);
     phase_.store(phaseRunning, std::memory_order_seq_cst);
     resumeEpoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -603,8 +574,6 @@ ParallelEngine::refreshControlAfterRestore()
         CoreControl &ctl = *controls_[c];
         ctl.committed.store(sys_.core(c).committedUops(),
                             std::memory_order_relaxed);
-        ctl.committedAt.store(sys_.core(c).localTime(),
-                              std::memory_order_release);
         ctl.finished.store(sys_.core(c).finished(),
                            std::memory_order_release);
     }
@@ -647,7 +616,7 @@ ParallelEngine::run()
         SLACKSIM_ASSERT(event == Checkpointer::Event::Taken,
                         "fork checkpoints are serial-only");
     }
-    updatePacing(true);
+    updatePacing(sampleClocks());
 
     TaskRunner &runner =
         engine_.runner ? *engine_.runner : fallbackRunner_;
@@ -682,10 +651,10 @@ ParallelEngine::run()
 
         // Threaded, the clocks are read *before* pumping: every event
         // with a timestamp below the resulting safe time (the global
-        // time) is then guaranteed to already be in its OutQ, which
-        // makes sorted service deterministic and identical to the
-        // serial reference. One scan serves the safe time, the pacing
-        // targets, and the slack-spread stat below.
+        // time) is then already in its OutQ. Workers only ever run
+        // slack schemes, whose service is in arrival order; sorted
+        // service is inline. One scan serves the safe time, the
+        // pacing targets, and the slack-spread stat below.
         //
         // Inline runs burst-then-sample, the serial engine's own
         // cadence: the bursts pump their OutQs synchronously, so
@@ -728,7 +697,6 @@ ParallelEngine::run()
             if (!inlineMode())
                 activity += mgr_.pumpAll();
             activity += mgr_.serviceSorted(global);
-            servicedBelow_ = global;
             mgr_.flushOverflow();
             if (activity > 0) {
                 drain.commit(obs::TraceCategory::Manager,
@@ -749,21 +717,7 @@ ParallelEngine::run()
         }
         pacer_.observe(global, sys_.violations());
         recovery_.observe(global, sys_.violations());
-        // A stable cut is released only after the thresholds below
-        // were checked on it; a pending one stays frozen until it is
-        // published and serviced. That is a few stores away on a
-        // worker thread, so yield and look again rather than sleep on
-        // the board.
-        const Cut cut = sampleCut(clocks);
-        if (cut == Cut::Free || cut == Cut::Moving) {
-            updatePacing(true, clocks);
-        } else if (cut == Cut::Pending) {
-            flushWakes();
-            std::this_thread::yield();
-            ++activity;
-        }
-        const bool check_thresholds =
-            cut == Cut::Free || cut == Cut::Stable;
+        updatePacing(clocks);
         session.maybeSample(global);
         if (clocks.minUnfinished != maxTick &&
             clocks.maxUnfinished > clocks.minUnfinished) {
@@ -783,7 +737,7 @@ ParallelEngine::run()
                     // restored; keep running forward without
                     // speculation instead of dying.
                     recovery_.noteIntegrityDemotion(rb_global);
-                    updatePacing(true);
+                    updatePacing(sampleClocks());
                     session.collectTrace();
                     resumeWorld();
                     ++activity;
@@ -792,10 +746,11 @@ ParallelEngine::run()
                 recovery_.noteRollback(rb_global);
                 refreshControlAfterRestore();
                 mgr_.setSorted(true);
-                updatePacing(false);
+                // The manager drives the replay, so the workers stay
+                // paused until the boundary where it ends.
+                updatePacing(sampleClocks());
                 session.forceSample(rb.resumedAt);
                 session.collectTrace();
-                resumeWorld();
                 ++activity;
                 continue;
             }
@@ -812,8 +767,11 @@ ParallelEngine::run()
                     mgr_.serviceSorted(maxTick);
                     mgr_.setSorted(false);
                     mgr_.flushOverflow();
+                    // The replay is over: the workers its rollback
+                    // paused take their cores back.
+                    resumeWorld();
                 }
-                updatePacing(true);
+                updatePacing(sampleClocks());
                 session.forceSample(boundary);
                 session.collectTrace();
                 ++activity;
@@ -821,7 +779,7 @@ ParallelEngine::run()
             }
         }
 
-        if (warmupPending_ && check_thresholds) {
+        if (warmupPending_) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=
@@ -839,8 +797,7 @@ ParallelEngine::run()
         }
 
         // Stop conditions.
-        if (engine_.maxCommittedUops && !warmupPending_ &&
-            check_thresholds) {
+        if (engine_.maxCommittedUops && !warmupPending_) {
             std::uint64_t committed = 0;
             for (const auto &ctl : controls_)
                 committed +=
@@ -860,9 +817,6 @@ ParallelEngine::run()
                 break;
             }
         }
-        if (cut == Cut::Stable)
-            updatePacing(true, clocks);
-
         // Watchdog on stalled global time. The window opens at the
         // first round on which global time did not advance.
         if (global != last_global) {

@@ -16,6 +16,13 @@
  * host with nothing to gain from concurrency pays zero park/wake
  * cost — the honest configuration in which parallel >= serial.
  *
+ * Sorted service (cycle-by-cycle runs and speculative replay) belongs
+ * to the manager. A horizon round holds a few cycles of work, far
+ * less than a hand-off to a worker costs, so a cycle-by-cycle run
+ * launches no workers, and a threaded speculative run keeps its
+ * workers paused from a rollback to the checkpoint boundary where the
+ * replay ends, driving every core inline meanwhile.
+ *
  * Pacing protocol: each core owns an atomic local clock; the manager
  * publishes a per-core max-local-time. Wakes are coalesced: pacing
  * changes and deliveries mark pending cores in a bitset, and one
@@ -78,8 +85,6 @@ class ParallelEngine
         alignas(64) std::atomic<Tick> maxLocal{0};
         alignas(64) std::atomic<bool> finished{false};
         std::atomic<std::uint64_t> committed{0};
-        /** The core's local clock when `committed` was published. */
-        std::atomic<Tick> committedAt{0};
     };
 
     /** Per-worker park/wake block. One wake word per *worker*: a
@@ -115,26 +120,11 @@ class ParallelEngine
         Tick maxUnfinished = 0;
     };
 
-    /**
-     * Where worker-driven cores stand for a uop-threshold check (see
-     * sampleCut). The serial engine checks its warmup and stop
-     * thresholds after each round, when every core has run the same
-     * cycle; under sorted service the threaded topologies must check
-     * on exactly those cuts to stop on the same cycle.
-     */
-    enum class Cut : std::uint8_t
-    {
-        Free,    //!< no exact check needed: pace and check as before
-        Moving,  //!< cores between cuts: pace, check no threshold
-        Pending, //!< at a cut not yet published or serviced: hold it
-        Stable   //!< at a published, serviced cut: check, then pace
-    };
-
     void workerThreadMain(std::uint32_t w);
-    /** Run one burst for core @p c (worker threads and inline mode
-     *  share this path). Updates the core's control block, progress
-     *  board and trace spans. */
-    CoreRun runCoreBurst(CoreId c);
+    /** Run one burst for core @p c, on its worker thread or, with
+     *  @p by_manager, on the manager's (inline mode). Updates the
+     *  core's control block, progress board and trace spans. */
+    CoreRun runCoreBurst(CoreId c, bool by_manager);
     /** Drive every core one scan in inline mode. @return true when
      *  any core advanced. */
     bool driveInline();
@@ -152,15 +142,13 @@ class ParallelEngine
      * and the slack-spread stat.
      */
     ClockSample sampleClocks();
-    /** Publish new pacing limits from an existing clock sample and
-     *  flush the coalesced wake sweep. */
-    void updatePacing(bool monotone, const ClockSample &sample);
-    /** Publish new pacing limits from a fresh scan; @p monotone false
-     *  only while the cores are paused (rollback). */
-    void updatePacing(bool monotone);
+    /** Publish new pacing limits from @p sample and flush the
+     *  coalesced wake sweep. Sorted service is paced to
+     *  sortedHorizon(); slack limits are only ever raised. */
+    void updatePacing(const ClockSample &sample);
     /**
-     * Sorted service in inline mode: the conservative-lookahead
-     * horizon H = EOT + L. EOT, the earliest output time, is the
+     * Sorted service pacing: the conservative-lookahead horizon
+     * H = EOT + L. EOT, the earliest output time, is the
      * least of the earliest staged request and every unfinished
      * core's wake hint; L is the uncore lookahead, 1 within one
      * round's worth of commits of a uop threshold. No message a core
@@ -168,25 +156,26 @@ class ParallelEngine
      * execute every cycle below it. Never below @p global + 1.
      */
     Tick sortedHorizon(Tick global) const;
-    /**
-     * Classify @p clocks for an exact uop-threshold check. A cut is
-     * stable when every unfinished core sits at one clock T, paced
-     * below it (frozen until the manager raises its limit), with its
-     * committed count published at T, and every event below T is
-     * serviced. Free unless sorted service runs on worker threads
-     * with a warmup or stop threshold pending.
-     */
-    Cut sampleCut(const ClockSample &clocks) const;
     bool quiescedAtBoundary(Tick boundary) const;
+    /** Stop every worker and wait for its ack. A no-op while the
+     *  manager drives the cores: the workers are not running. */
     void pauseWorld();
+    /** Release the workers a pauseWorld() stopped. A no-op while the
+     *  manager drives the cores. */
     void resumeWorld();
     void refreshControlAfterRestore();
     RunResult collectResult(double wall_seconds) const;
-    /** Inline mode (no workers): the manager is the only thread in
-     *  the run, so cross-thread signalling (board bumps, seq_cst
-     *  pacing stores, wake bookkeeping) is pure overhead and skipped
-     *  on the hot path. */
-    bool inlineMode() const { return workerCount_ == 0; }
+    /** Inline mode, read by the manager only: the manager drives
+     *  every core itself, because there are no workers or because
+     *  sorted service runs, which keeps them paused from a rollback
+     *  to the end of its replay. The manager is then the only thread
+     *  touching engine state, so cross-thread signalling (board
+     *  bumps, seq_cst pacing stores, wake bookkeeping) is pure
+     *  overhead and skipped on the hot path. */
+    bool inlineMode() const
+    {
+        return workerCount_ == 0 || pacer_.sortedService();
+    }
 
     SimSystem &sys_;
     EngineConfig engine_;
@@ -211,16 +200,8 @@ class ParallelEngine
     /** Inline-mode scan start, rotated like the serial engine's so no
      *  core is systematically serviced first. */
     CoreId inlineRotate_ = 0;
-    /** Inline mode under sorted service (CC or speculative
-     *  replay): pace by sortedHorizon() and account skipped stall
-     *  cycles exactly. Threaded topologies keep one-cycle pacing: the
-     *  manager cannot read the core state their workers own. */
-    bool horizonPacing_ = false;
     /** max(1, Uncore::lookahead()). */
     Tick lookahead_ = 1;
-    /** Safe time of the last service round: every staged event below
-     *  it has been serviced. Caps sorted-service pacing. */
-    Tick servicedBelow_ = 0;
     /** true until warmupUops have committed and stats were reset. */
     bool warmupPending_ = false;
     std::vector<Tick> localsScratch_;

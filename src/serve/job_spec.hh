@@ -128,7 +128,9 @@ struct JobSpec
 
     /**
      * Host threads the job occupies while running: the manager plus,
-     * on the parallel engine, the worker threads. With no
+     * on the parallel engine, the worker threads. A cycle-by-cycle
+     * run launches no workers, whatever host_threads asks for: the
+     * manager drives sorted service itself. Otherwise, with no
      * host_threads override the engine auto-sizes its workers from
      * the machine, so admission reserves the one-per-core worst case.
      * This is the quantity admission control reserves against the
@@ -137,7 +139,7 @@ struct JobSpec
     std::uint32_t
     hostThreads() const
     {
-        if (!parallelHost)
+        if (!parallelHost || scheme == "cc")
             return 1;
         const std::uint32_t workers =
             hostThreadsOverride

@@ -28,6 +28,23 @@ isTerminalEvent(const std::string &event)
            event == "crashed";
 }
 
+/**
+ * Read the optional 32-bit counter @p key of @p doc into @p out, left
+ * as is when the key is absent or not a number. @return false when
+ * the number is not an integer in [0, 2^32): a corrupt line.
+ */
+bool
+readUint32(const json::Value &doc, const char *key, std::uint32_t *out)
+{
+    if (!doc.has(key) || !doc.at(key).isNumber())
+        return true;
+    const double n = doc.at(key).number;
+    if (!json::isUint64(n) || n >= 0x1p32)
+        return false;
+    *out = static_cast<std::uint32_t>(n);
+    return true;
+}
+
 } // namespace
 
 bool
@@ -53,10 +70,13 @@ readJournal(const std::string &path, JournalReplay *out)
             ++out->linesSkipped;
             continue;
         }
+        // The schema header line lands here, and so does a job id
+        // that is no integer in [0, 2^64).
         if (!doc.isObject() || !doc.has("event") ||
             !doc.has("job") || !doc.at("event").isString() ||
-            !doc.at("job").isNumber()) {
-            ++out->linesSkipped; // schema header line lands here
+            !doc.at("job").isNumber() ||
+            !json::isUint64(doc.at("job").number)) {
+            ++out->linesSkipped;
             continue;
         }
         const std::string event = doc.at("event").str;
@@ -65,6 +85,11 @@ readJournal(const std::string &path, JournalReplay *out)
         if (event == "submitted") {
             JournalJob job;
             job.id = id;
+            if (!readUint32(doc, "attempt", &job.attempt) ||
+                !readUint32(doc, "max_attempts", &job.maxAttempts)) {
+                ++out->linesSkipped;
+                continue;
+            }
             if (doc.has("spec") && doc.at("spec").isObject()) {
                 // Re-encode so the server gets the exact object the
                 // client submitted.
@@ -75,15 +100,6 @@ readJournal(const std::string &path, JournalReplay *out)
             if (doc.has("idempotency_key") &&
                 doc.at("idempotency_key").isString()) {
                 job.idempotencyKey = doc.at("idempotency_key").str;
-            }
-            if (doc.has("attempt") && doc.at("attempt").isNumber()) {
-                job.attempt = static_cast<std::uint32_t>(
-                    doc.at("attempt").number);
-            }
-            if (doc.has("max_attempts") &&
-                doc.at("max_attempts").isNumber()) {
-                job.maxAttempts = static_cast<std::uint32_t>(
-                    doc.at("max_attempts").number);
             }
             byId[id] = out->jobs.size();
             out->jobs.push_back(std::move(job));

@@ -7,10 +7,10 @@
  * service() consumes one core request and produces the outbound
  * messages (fills, snoops, grants). The *order* in which the engine
  * feeds requests to service() is the crux of the paper:
- *  - sorted (timestamp) order  -> cycle-by-cycle / quantum accuracy;
- *  - arrival order             -> slack simulation, where inversions
- *    are detected as bus violations and map violations against the
- *    per-resource monitoring timestamps.
+ *  - sorted (timestamp) order  -> cycle-by-cycle accuracy;
+ *  - arrival order             -> slack simulation (quantum included),
+ *    where inversions are detected as bus violations and map
+ *    violations against the per-resource monitoring timestamps.
  */
 
 #ifndef SLACKSIM_UNCORE_UNCORE_HH

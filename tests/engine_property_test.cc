@@ -13,6 +13,7 @@
 
 #include "core/pacer.hh"
 #include "core/run.hh"
+#include "util/logging.hh"
 #include "workload/kernels.hh"
 
 using namespace slacksim;
@@ -98,8 +99,9 @@ TEST(HostKnobs, SerialCcMatchesParallelForSplashWindow)
         SCOPED_TRACE(kernel);
         const auto a = runSimulation(serial);
         const auto b = runSimulation(parallel);
-        // Auto topology may launch worker threads; threaded CC stops
-        // on the serial engine's cycle too, every statistic equal.
+        // Whatever the auto topology, CC runs on the manager alone
+        // and stops on the serial engine's cycle, every statistic
+        // equal.
         EXPECT_EQ(a.violations.total(), 0u);
         EXPECT_EQ(b.violations.total(), 0u);
         EXPECT_NEAR(a.cpi(), b.cpi(), a.cpi() * 0.05);
@@ -115,9 +117,9 @@ TEST(HostKnobs, SerialCcMatchesParallelForSplashWindow)
 TEST(HostKnobs, ThreadedCcStopsOnTheSerialCycle)
 {
     // The serial engine checks its warmup and stop thresholds after
-    // each round, when every core has run the same cycle. Worker
-    // threads must reset and stop on those very cycles, however far
-    // the host let each core get when the count crossed.
+    // each round, when every core has run the same cycle. A CC run
+    // asked for worker threads launches none: the manager drives
+    // every core and resets and stops on those very cycles.
     for (const std::uint64_t warmup : {0u, 3000u}) {
         auto serial = smallConfig("fft", SchemeKind::CycleByCycle, false);
         serial.engine.maxCommittedUops = 7001;
@@ -130,6 +132,7 @@ TEST(HostKnobs, ThreadedCcStopsOnTheSerialCycle)
             SCOPED_TRACE("warmup " + std::to_string(warmup) +
                          " threads " + std::to_string(threads));
             const auto b = runSimulation(threaded);
+            EXPECT_EQ(b.host.hostThreadsUsed, 1u);
             EXPECT_EQ(a.execCycles, b.execCycles);
             EXPECT_EQ(a.globalCycles, b.globalCycles);
             EXPECT_EQ(a.committedUops, b.committedUops);
@@ -240,6 +243,54 @@ TEST(CheckpointEdges, SpeculativeWithWarmup)
     EXPECT_GT(r.committedUops, 0u);
 }
 
+TEST(CheckpointEdges, EveryIntervalRolledBackMatchesSerialCc)
+{
+    // A spurious rollback after every checkpoint makes the whole run
+    // replay, and replay is sorted service: on every topology, with
+    // or without a warmup that crosses its threshold mid-replay, the
+    // result must be serial CC's, statistic for statistic. Violations
+    // alone would not do: a threaded interval sometimes keeps its
+    // slack result.
+    setQuietLogging(true); // one fault record per checkpoint
+    for (const std::string kernel : {"barnes", "fft", "pingpong"}) {
+        SimConfig cc = smallConfig(kernel, SchemeKind::CycleByCycle,
+                                   false);
+        // The golden tests' sizes.
+        cc.workload.iters = 300;
+        cc.workload.bodies = 128;
+        cc.workload.timesteps = 1;
+        for (const std::uint64_t warmup : {0u, 5003u}) {
+            cc.engine.warmupUops = warmup;
+            const RunResult reference = runSimulation(cc);
+            SimConfig spec = cc;
+            spec.engine.scheme = SchemeKind::Adaptive;
+            spec.engine.parallelHost = true;
+            spec.engine.checkpoint.mode = CheckpointMode::Speculative;
+            spec.engine.checkpoint.interval = 1000;
+            // Every boundary the run reaches takes one checkpoint,
+            // replays included, so ordinal N is the Nth boundary.
+            for (Tick n = 1; n <= reference.execCycles / 1000 + 1; ++n) {
+                spec.engine.faultSpecs.push_back(
+                    "spurious-rollback@ckpt:" + std::to_string(n));
+            }
+            for (const std::uint32_t threads : {1u, 2u, 3u, 4u}) {
+                spec.engine.hostThreads = threads;
+                SCOPED_TRACE(kernel + " warmup " +
+                             std::to_string(warmup) + " threads " +
+                             std::to_string(threads));
+                const RunResult r = runSimulation(spec);
+                EXPECT_EQ(r.host.rollbacks, r.host.checkpointsTaken);
+                EXPECT_EQ(r.execCycles, reference.execCycles);
+                EXPECT_EQ(r.committedUops, reference.committedUops);
+                EXPECT_TRUE(r.perCore == reference.perCore);
+                EXPECT_TRUE(r.uncore == reference.uncore);
+                EXPECT_TRUE(r.busQueueHistogram ==
+                            reference.busQueueHistogram);
+            }
+        }
+    }
+}
+
 TEST(SchemeMatrix, EverySchemeOnEveryHostSmokes)
 {
     for (const SchemeKind scheme :
@@ -314,9 +365,9 @@ TEST(RunResultReport, PerCoreTablePrints)
 
 TEST(HostThreads, CcInvariantAcrossWorkerTopologies)
 {
-    // Worker multiplexing is a host-side scheduling choice: pinning
-    // the engine to 1 (inline), 2, 3 or 5 (one worker per core) host
-    // threads must not change cycle-by-cycle results.
+    // Pinning the engine to 1, 2, 3 or 5 (one worker per core) host
+    // threads must not change cycle-by-cycle results; sorted service
+    // is the manager's, so none of them launches a worker.
     const auto reference =
         runSimulation(smallConfig("falseshare",
                                   SchemeKind::CycleByCycle, true));
@@ -325,7 +376,9 @@ TEST(HostThreads, CcInvariantAcrossWorkerTopologies)
                                   SchemeKind::CycleByCycle, true);
         pinned.engine.hostThreads = threads;
         SCOPED_TRACE(threads);
-        expectSameSimulation(reference, runSimulation(pinned));
+        const RunResult r = runSimulation(pinned);
+        EXPECT_EQ(r.host.hostThreadsUsed, 1u);
+        expectSameSimulation(reference, r);
     }
 }
 

@@ -244,8 +244,9 @@ TEST(FaultInjection, SpuriousRollbackAloneKeepsResultsExact)
 
 TEST(FaultInjection, WorkerStallIsInvisibleToSimulatedTime)
 {
-    // Stall core 1 for 30 host-ms in the parallel cycle-by-cycle
-    // engine: wall time suffers, simulated results cannot.
+    // Stall core 1 for 30 host-ms in a parallel-engine CC run, where
+    // the manager drives every core itself: wall time suffers,
+    // simulated results cannot.
     SimConfig config;
     config.workload.kernel = "falseshare";
     config.workload.numThreads = config.target.numCores;

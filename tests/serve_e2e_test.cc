@@ -184,9 +184,10 @@ TEST(ServeE2ETest, DaemonResultsBitIdenticalToStandaloneRun)
     ASSERT_TRUE(client.valid());
 
     // Cycle-by-cycle service: the one scheme whose simulated cycle
-    // count is bit-deterministic on the threaded host, so daemon and
-    // standalone runs are comparable exactly (slack schemes keep uop
-    // counts stable but their cycle counts shift with host timing).
+    // count is bit-deterministic on every topology (it runs on the
+    // manager alone), so daemon and standalone runs are comparable
+    // exactly (threaded slack runs keep uop counts stable but their
+    // cycle counts shift with host timing).
     std::string error;
     const std::string spec_json =
         R"({"version": "slacksim.job.v1", "kernel": "radix",

@@ -221,6 +221,22 @@ TEST(JobSpecTest, ParsesFullSpec)
     spec.toConfig().validate();
 }
 
+TEST(JobSpecTest, CycleByCycleReservesOnlyTheManager)
+{
+    // A CC run launches no workers on any topology, so admission
+    // reserves the manager's thread alone, pinned or auto-sized.
+    for (const char *extra : {"", R"(, "host_threads": 9)"}) {
+        JobSpec spec;
+        std::string error;
+        ASSERT_TRUE(parseSpec(
+            std::string(R"({"kernel": "lu", "cores": 16, "scheme": "cc")") +
+                extra + "}",
+            &spec, &error))
+            << error;
+        EXPECT_EQ(spec.hostThreads(), 1u) << extra;
+    }
+}
+
 TEST(JobSpecTest, UnknownKeyGetsDidYouMean)
 {
     const std::string error =

@@ -219,6 +219,36 @@ TEST(JournalTest, ClassifiesQueuedRunningAndTerminalJobs)
     EXPECT_EQ(replay.linesSkipped, 2u);
 }
 
+TEST(JournalTest, SkipsLinesWhoseNumbersDoNotFit)
+{
+    // A corrupted journal's numbers are checked before any cast: a
+    // line whose job id is no integer in [0, 2^64), or whose attempt
+    // counters are no integers in [0, 2^32), is skipped and counted.
+    const std::string path = "journal_numbers.jsonl";
+    writeFile(
+        path,
+        "{\"seq\": 1, \"event\": \"submitted\", \"job\": 1e20}\n"
+        "{\"seq\": 2, \"event\": \"submitted\", \"job\": -1}\n"
+        "{\"seq\": 3, \"event\": \"submitted\", \"job\": 1.5}\n"
+        "{\"seq\": 4, \"event\": \"submitted\", \"job\": 2, "
+        "\"attempt\": 1e12}\n"
+        "{\"seq\": 5, \"event\": \"submitted\", \"job\": 3, "
+        "\"max_attempts\": -1}\n"
+        "{\"seq\": 6, \"event\": \"submitted\", \"job\": 4, "
+        "\"attempt\": 2, \"max_attempts\": 4294967295}\n");
+
+    JournalReplay replay;
+    ASSERT_TRUE(readJournal(path, &replay));
+    std::remove(path.c_str());
+
+    EXPECT_EQ(replay.linesRead, 6u);
+    EXPECT_EQ(replay.linesSkipped, 5u);
+    ASSERT_EQ(replay.jobs.size(), 1u);
+    EXPECT_EQ(replay.jobs[0].id, 4u);
+    EXPECT_EQ(replay.jobs[0].attempt, 2u);
+    EXPECT_EQ(replay.jobs[0].maxAttempts, 4294967295u);
+}
+
 TEST(JournalTest, MissingFileIsReportedNotFatal)
 {
     JournalReplay replay;
