@@ -5,8 +5,6 @@
 
 #include "core/core_complex.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace slacksim {
@@ -28,77 +26,39 @@ CoreComplex::CycleOutcome
 CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget,
                    StallAccounting accounting)
 {
-    if (skip_budget == 0)
-        skip_budget = 1;
     if (finished())
         return CycleOutcome::Progress;
 
     const Tick now = localTime_.load(std::memory_order_relaxed);
-    const bool exact = accounting == StallAccounting::Exact;
 
     // A core already known to be inert, with nothing due before its
     // wake, would repeat its evaluated cycle exactly: re-enter it in
-    // O(1) instead of evaluating the pipeline again. An exact skip
-    // then counts from `now` itself, the first cycle it stands for.
-    Tick wake = inert_ ? nextWake() : now;
-    Tick skip_from = now;
-    if (wake > now && exact) {
-        ++inertReentries_;
-    } else {
-        // Reserve space for the worst-case message volume of one cycle
-        // so the cycle never has to abort halfway through. An idle
-        // re-entry keeps the check the evaluation it replaces made.
-        if (!outQ_.hasFreeSpace(outboundHeadroom))
-            return CycleOutcome::Backpressure;
-        if (wake > now) {
-            // Idle re-entry: count cycle `now` as evaluating it would.
-            ++inertReentries_;
-            stats_.add(inertDelta_);
-        } else {
-            ++evaluations_;
-            const CoreStats before = stats_;
-            inert_ = false;
-            if (step(now) || finished()) {
-                // Publish the new local time only after the cycle's
-                // messages are in the queue: once the manager
-                // observes localTime > T it may assume every event of
-                // cycle T is visible.
-                localTime_.store(now + 1, std::memory_order_release);
-                return CycleOutcome::Progress;
-            }
-            inert_ = true;
-            inertDelta_ = stats_.since(before);
-            wake = nextWake();
-        }
-        skip_from = now + 1;
+    // O(1) instead of evaluating the pipeline again.
+    if (inert_) {
+        const Tick wake = nextWake();
+        if (wake > now)
+            return reenterInert(wake, max_local, skip_budget, accounting);
     }
 
-    // The core is inert: identical behavior every cycle until the
-    // earliest of (a) an already-scheduled internal completion,
-    // (b) the InQ head becoming applicable, (c) the pacing limit.
-    Tick target = wake;
-    if (target == maxTick) {
-        // Only a future delivery can wake the core. With pacing
-        // headroom we bulk-skip the stall cycles up to the limit;
-        // a free-running (unbounded) core instead freezes until
-        // the manager delivers something.
-        if (max_local >= maxTick - 1)
-            return CycleOutcome::WaitInbound;
-        target = max_local + 1;
+    // Reserve space for the worst-case message volume of one cycle
+    // so the cycle never has to abort halfway through.
+    if (!outQ_.hasFreeSpace(outboundHeadroom))
+        return CycleOutcome::Backpressure;
+    foldInert(); // the evaluation replaces inertDelta_
+    ++evaluations_;
+    const CoreStats before = stats_;
+    inert_ = false;
+    if (step(now) || finished()) {
+        // Publish the new local time only after the cycle's messages
+        // are in the queue: once the manager observes localTime > T
+        // it may assume every event of cycle T is visible.
+        localTime_.store(now + 1, std::memory_order_release);
+        return CycleOutcome::Progress;
     }
-    Tick next = skip_from;
-    if (target > skip_from) {
-        next = std::min({target, max_local + 1,
-                         now + static_cast<Tick>(skip_budget)});
-        if (next <= now)
-            return CycleOutcome::WaitInbound; // no headroom left
-    }
-    if (exact)
-        stats_.addScaled(inertDelta_, next - skip_from);
-    else
-        stats_.idleCycles += next - skip_from;
-    localTime_.store(next, std::memory_order_release);
-    return CycleOutcome::Progress;
+    inert_ = true;
+    inertDelta_ = stats_.since(before);
+    return skipInert(now, now + 1, nextWake(), max_local, skip_budget,
+                     accounting);
 }
 
 bool
@@ -136,27 +96,11 @@ CoreComplex::step(Tick now)
     return progressed;
 }
 
-Tick
-CoreComplex::nextWake() const
-{
-    Tick wake = core_.earliestSelfWake();
-    if (const BusMsg *head = inQ_.front())
-        wake = std::min(wake, head->ts);
-    return wake;
-}
-
-Tick
-CoreComplex::wakeHint() const
-{
-    const Tick now = localTime();
-    return inert_ ? std::max(now, nextWake()) : now;
-}
-
 void
 CoreComplex::save(SnapshotWriter &writer) const
 {
     writer.putMarker(0xcc01);
-    writer.put(stats_);
+    writer.put(stats());
     l1d_.save(writer);
     l1i_.save(writer);
     core_.save(writer);
@@ -180,6 +124,7 @@ CoreComplex::restore(SnapshotReader &reader)
     localTime_.store(reader.get<Tick>(), std::memory_order_release);
     scratch_.clear();
     inert_ = false;
+    pendingInert_ = 0;
 }
 
 } // namespace slacksim

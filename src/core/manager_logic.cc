@@ -147,20 +147,25 @@ ManagerLogic::deliver(const Outbound &o)
 {
     SLACKSIM_ASSERT(o.dst < sys_.numCores(), "bad delivery target");
     auto &ov = overflow_[o.dst];
-    if (!ov.empty() || !sys_.core(o.dst).inQ().push(o.msg))
+    if (!ov.empty() || !sys_.core(o.dst).inQ().push(o.msg)) {
         ov.push_back(o.msg);
-    else
+        ++overflowCount_;
+    } else {
         markDelivered(o.dst);
+    }
 }
 
 void
 ManagerLogic::flushOverflow()
 {
+    if (overflowCount_ == 0)
+        return;
     for (CoreId c = 0; c < sys_.numCores(); ++c) {
         auto &ov = overflow_[c];
         auto &q = sys_.core(c).inQ();
         while (!ov.empty() && q.push(ov.front())) {
             ov.pop_front();
+            --overflowCount_;
             markDelivered(c);
         }
     }
@@ -171,15 +176,6 @@ ManagerLogic::earliestStaged() const
 {
     return stagedCount_ == 0 ? maxTick
                              : staging_[merge_.winner()].front().ts;
-}
-
-bool
-ManagerLogic::overflowPending() const
-{
-    for (const auto &ov : overflow_)
-        if (!ov.empty())
-            return true;
-    return false;
 }
 
 void
@@ -238,11 +234,13 @@ ManagerLogic::restore(SnapshotReader &reader)
     const auto cores = reader.get<std::uint64_t>();
     SLACKSIM_ASSERT(cores == overflow_.size(),
                     "manager snapshot geometry mismatch");
+    overflowCount_ = 0;
     for (auto &ov : overflow_) {
         ov.clear();
         const auto n = reader.get<std::uint64_t>();
         for (std::uint64_t i = 0; i < n; ++i)
             ov.push_back(reader.get<BusMsg>());
+        overflowCount_ += n;
     }
 }
 

@@ -61,7 +61,8 @@ class ManagerLogic : public Snapshotable
      */
     std::size_t serviceSorted(Tick safe_time);
 
-    /** Retry overflowed InQ deliveries. */
+    /** Retry overflowed InQ deliveries. Returns at once when none
+     *  is parked. */
     void flushOverflow();
 
     /**
@@ -83,7 +84,7 @@ class ManagerLogic : public Snapshotable
 
     /** @return true while a delivery waits for InQ space in an
      *  overflow deque, out of sight of its core. */
-    bool overflowPending() const;
+    bool overflowPending() const { return overflowCount_ != 0; }
 
     /** @return sorted-service staging depth (metrics sampling). */
     std::size_t pendingDepth() const { return stagedCount_; }
@@ -171,6 +172,8 @@ class ManagerLogic : public Snapshotable
 
     CoreBitset delivered_;
     std::vector<std::deque<BusMsg>> overflow_;
+    /** Messages parked in overflow_, all cores together. */
+    std::size_t overflowCount_ = 0;
     std::vector<Outbound> outboundScratch_;
 
     bool rollbackArmed_ = false;

@@ -120,12 +120,6 @@ Pacer::maxLocalForCore(CoreId core, Tick global_time,
     return std::max(locals[peers_[core]], global_time) + bound_;
 }
 
-bool
-Pacer::sortedService() const
-{
-    return replayMode_ || engine_.scheme == SchemeKind::CycleByCycle;
-}
-
 void
 Pacer::observe(Tick global_time, const ViolationStats &violations)
 {

@@ -53,7 +53,11 @@ class Pacer : public Snapshotable
 
     /** @return true when the manager must service events in
      *  timestamp-sorted order (cycle-by-cycle accuracy). */
-    bool sortedService() const;
+    bool
+    sortedService() const
+    {
+        return replayMode_ || engine_.scheme == SchemeKind::CycleByCycle;
+    }
 
     /**
      * Adaptive feedback: called as global time advances with the

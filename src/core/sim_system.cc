@@ -45,7 +45,7 @@ SimSystem::totalCommittedUops() const
 {
     std::uint64_t total = 0;
     for (const auto &core : cores_)
-        total += core->stats().committedInstrs;
+        total += core->committedUops();
     return total;
 }
 

@@ -88,17 +88,6 @@ OooCore::fingerprint() const
     return f;
 }
 
-Tick
-OooCore::earliestSelfWake() const
-{
-    // pending_ holds exactly the timer-completed uops still in
-    // flight; every ripe entry was popped by this cycle's writeback,
-    // so the front is the earliest strictly-future completion.
-    return pendingHead_ == pendingTail_
-               ? maxTick
-               : pending_[pendingHead_ & robMask_].first;
-}
-
 void
 OooCore::pushPending(Tick done_at, SeqNum seq)
 {

@@ -72,7 +72,17 @@ class OooCore : public Snapshotable
      * operation completes by itself, or maxTick when the core can
      * only be woken by an inbound message.
      */
-    Tick earliestSelfWake() const;
+    Tick
+    earliestSelfWake() const
+    {
+        // pending_ holds exactly the timer-completed uops still in
+        // flight; every ripe entry was popped by this cycle's
+        // writeback, so the front is the earliest strictly-future
+        // completion.
+        return pendingHead_ == pendingTail_
+                   ? maxTick
+                   : pending_[pendingHead_ & robMask_].first;
+    }
 
     /** Apply one manager->core message (fill, snoop, sync grant). */
     void handleInbound(const BusMsg &msg, Tick now,

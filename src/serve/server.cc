@@ -98,6 +98,40 @@ writeJobView(JsonWriter &w, const JobView &view)
     w.endObject();
 }
 
+/**
+ * Leave a slacksim.crash_report.v1 stub for an isolated child that
+ * died by a signal before writing its run report, so watch/status
+ * consumers still find an artifact. @p status is the job's terminal
+ * state: "crashed", or "cancelled" for a child killed after its
+ * cancel grace.
+ */
+void
+writeStubReport(const SimConfig &config, const SupervisedResult &r,
+                const char *status)
+{
+    const std::string &path = config.engine.obs.reportOut;
+    if (path.empty() || !readFileOrEmpty(path).empty())
+        return;
+    CheckedOfstream os(path, "crash report stub");
+    if (!os.ok())
+        return;
+    JsonWriter w(os.stream(), 0);
+    w.beginObject();
+    w.field("schema", "slacksim.crash_report.v1");
+    w.field("job_id", config.engine.obs.jobId);
+    w.field("status", status);
+    w.field("signal",
+            static_cast<std::uint64_t>(static_cast<unsigned>(r.signal)));
+    w.field("signal_name", signalName(r.signal));
+    w.field("reason", r.error);
+    w.field("spawn_ms", r.spawnMs);
+    w.field("child_pid", static_cast<std::int64_t>(r.childPid));
+    w.field("trace_id", config.engine.obs.traceId);
+    w.endObject();
+    os.stream() << "\n";
+    os.sync();
+}
+
 /** Percentile summary of one histogram for stats / server_report. */
 void
 writeHistogramSummary(JsonWriter &w, const char *key,
@@ -559,6 +593,9 @@ Server::jobBodyIsolated(std::uint64_t id, const SimConfig &config,
     switch (r.status) {
       case SupervisedResult::Status::Ok:
       case SupervisedResult::Status::Cancelled:
+        // Killed after its cancel grace: the child wrote no report.
+        if (r.signal != 0)
+            writeStubReport(config, r, "cancelled");
         queue_.recordResult(id, r.committedUops, r.simulatedCycles);
         telemetry_.jobFaults.add(r.faultInjections);
         telemetry_.jobDegradations.add(r.demotions);
@@ -567,36 +604,10 @@ Server::jobBodyIsolated(std::uint64_t id, const SimConfig &config,
                                 ? JobState::Done
                                 : JobState::Cancelled);
         break;
-      case SupervisedResult::Status::Crashed: {
-        // The child died before writing its run report; leave a stub
-        // so watch/status consumers still find an artifact.
-        const std::string report_path =
-            config.engine.obs.reportOut;
-        if (!report_path.empty() &&
-            readFileOrEmpty(report_path).empty()) {
-            CheckedOfstream os(report_path, "crash report stub");
-            if (os.ok()) {
-                JsonWriter w(os.stream(), 0);
-                w.beginObject();
-                w.field("schema", "slacksim.crash_report.v1");
-                w.field("job_id", config.engine.obs.jobId);
-                w.field("status", "crashed");
-                w.field("signal",
-                        static_cast<std::uint64_t>(
-                            static_cast<unsigned>(r.signal)));
-                w.field("signal_name", signalName(r.signal));
-                w.field("spawn_ms", r.spawnMs);
-                w.field("child_pid",
-                        static_cast<std::int64_t>(r.childPid));
-                w.field("trace_id", config.engine.obs.traceId);
-                w.endObject();
-                os.stream() << "\n";
-                os.sync();
-            }
-        }
+      case SupervisedResult::Status::Crashed:
+        writeStubReport(config, r, "crashed");
         queue_.markCrashed(id, r.signal, r.error);
         break;
-      }
       case SupervisedResult::Status::Failed:
         queue_.markFinished(id, JobState::Failed, r.error);
         break;

@@ -347,6 +347,7 @@ runIsolatedJob(const SimConfig &config, const IsolationLimits &limits,
             // Our own escalation is a cancellation outcome, not a
             // crash — the job did what it was told, eventually.
             result.status = SupervisedResult::Status::Cancelled;
+            result.signal = sig;
             result.error = "killed after cancel grace expired";
         } else {
             result.status = SupervisedResult::Status::Crashed;

@@ -69,7 +69,9 @@ struct SupervisedResult
 
     Status status = Status::Failed;
     int exitCode = 0; //!< child exit code (status Failed)
-    int signal = 0;   //!< fatal signal (status Crashed)
+    /** Fatal signal: status Crashed, or Cancelled by our kill after
+     *  the cancel grace (0 otherwise). */
+    int signal = 0;
     /** RunResult aggregates relayed over the status pipe (valid for
      *  Ok and Cancelled). */
     std::uint64_t committedUops = 0;

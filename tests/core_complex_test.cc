@@ -362,3 +362,116 @@ TEST_P(IdleReentry, MatchesFullEvaluationAfterEveryCall)
 
 INSTANTIATE_TEST_SUITE_P(PacingWindows, IdleReentry,
                          ::testing::Values<Tick>(1, 4, 64));
+
+/** What both cores go through between two exact re-entries. */
+enum class Interleave
+{
+    StatsRead,   //!< compare stats() on the spot
+    SaveRestore, //!< a save()/restore() round trip, or a rollback
+    ResetStats,  //!< resetStats() (a warmup discard)
+};
+
+class LazyExactAccounting : public ::testing::TestWithParam<Interleave>
+{
+};
+
+TEST_P(LazyExactAccounting, MatchesEagerReferenceAtEveryPosition)
+{
+    // Exact re-entries pend their skipped cycles and fold them only
+    // when the counters are read or replaced. The reference evaluates
+    // every cycle in full (IdleReentry's restore-from-snapshot
+    // reference), so its counters are always current. Each run puts
+    // the operation after every `period`-th call, from its own
+    // offset: over all runs it lands after every call. Nothing else
+    // reads the counters, and short pacing windows (a sorted-service
+    // horizon's few cycles) re-enter an inert core call after call,
+    // so pended cycles pile up in between.
+    constexpr std::size_t period = 5;
+    const Interleave op = GetParam();
+    SimConfig config = oneCoreConfig();
+    const TraceProgram prog = stallingTrace();
+    for (std::size_t offset = 0; offset < period; ++offset) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        CoreComplex reference(config, 0, &prog, 0x10000);
+        CoreComplex lazy(config, 0, &prog, 0x10000);
+        // Both cores' images at the previous operation (rollbacks).
+        std::vector<std::uint8_t> ref_image;
+        std::vector<std::uint8_t> lazy_image;
+        std::size_t calls = 0;
+        std::size_t ops = 0;
+        // Re-entries since the lazy core's last full evaluation.
+        std::uint64_t streak = 0;
+        bool piled_up = false;
+        while (!lazy.finished() && calls < 200000) {
+            const std::uint64_t evaluations = lazy.evaluations();
+            const std::uint64_t reentries = lazy.inertReentries();
+            lazy.cycle(lazy.localTime() + calls % 7, 0xffffffff,
+                       CoreComplex::StallAccounting::Exact);
+            ++calls;
+            if (lazy.evaluations() != evaluations)
+                streak = 0;
+            streak += lazy.inertReentries() - reentries;
+            while (reference.localTime() < lazy.localTime() &&
+                   !reference.finished()) {
+                evaluateInFull(reference, reference.localTime());
+            }
+            ASSERT_EQ(reference.localTime(), lazy.localTime());
+            expectSameRequests(reference, lazy);
+            if (calls % period != offset)
+                continue;
+            // Two re-entries since the last evaluation: nothing has
+            // folded what they pended.
+            piled_up |= streak >= 2;
+            switch (op) {
+              case Interleave::StatsRead:
+                break;
+              case Interleave::SaveRestore: {
+                // Every other operation saves both cores and restores
+                // what it saved; the rest roll both back to the last
+                // save, which must drop what the lazy core pended
+                // since.
+                if (ops % 2 == 0) {
+                    SnapshotWriter ref_w;
+                    SnapshotWriter lazy_w;
+                    reference.save(ref_w);
+                    lazy.save(lazy_w);
+                    ref_image = ref_w.bytes();
+                    lazy_image = lazy_w.bytes();
+                }
+                SnapshotReader ref_r(ref_image);
+                SnapshotReader lazy_r(lazy_image);
+                reference.restore(ref_r);
+                lazy.restore(lazy_r);
+                break;
+              }
+              case Interleave::ResetStats:
+                reference.resetStats();
+                lazy.resetStats();
+                break;
+            }
+            ++ops;
+            ASSERT_TRUE(reference.stats() == lazy.stats())
+                << "diverged at cycle " << lazy.localTime() << ", call "
+                << calls;
+        }
+        EXPECT_TRUE(lazy.finished());
+        EXPECT_TRUE(reference.finished());
+        EXPECT_EQ(reference.localTime(), lazy.localTime());
+        EXPECT_TRUE(reference.stats() == lazy.stats());
+        EXPECT_GT(ops, 10u);
+        EXPECT_TRUE(piled_up) << "no operation met pended cycles";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Operations, LazyExactAccounting,
+    ::testing::Values(Interleave::StatsRead, Interleave::SaveRestore,
+                      Interleave::ResetStats),
+    [](const ::testing::TestParamInfo<Interleave> &info) {
+        switch (info.param) {
+          case Interleave::StatsRead: return std::string("StatsRead");
+          case Interleave::SaveRestore: return std::string("SaveRestore");
+          case Interleave::ResetStats: return std::string("ResetStats");
+        }
+        return std::string();
+    });

@@ -18,6 +18,7 @@
 
 #include "core/run.hh"
 #include "fault/fault_plan.hh"
+#include "scratch_path.hh"
 #include "workload/kernels.hh"
 
 using namespace slacksim;
@@ -246,7 +247,9 @@ TEST(FaultInjection, WorkerStallIsInvisibleToSimulatedTime)
 {
     // Stall core 1 for 30 host-ms in a parallel-engine CC run, where
     // the manager drives every core itself: wall time suffers,
-    // simulated results cannot.
+    // simulated results cannot. A bound plan gives every core a full
+    // visit each round, so the stall fires on the first round that
+    // finds core 1 at or past its trigger: cycle 501.
     SimConfig config;
     config.workload.kernel = "falseshare";
     config.workload.numThreads = config.target.numCores;
@@ -265,10 +268,39 @@ TEST(FaultInjection, WorkerStallIsInvisibleToSimulatedTime)
     ASSERT_NE(stall, nullptr);
     EXPECT_NE(stall->detail.find("core 1"), std::string::npos);
     EXPECT_FALSE(stall->handledBy.empty());
+    EXPECT_EQ(stall->cycle, 501u);
 
     EXPECT_EQ(faulted.execCycles, clean.execCycles);
     EXPECT_EQ(faulted.committedUops, clean.committedUops);
     EXPECT_EQ(faulted.violations.total(), clean.violations.total());
+}
+
+TEST(FaultInjection, WorkerStallIsInvisibleToInlineSpeculation)
+{
+    // The same on the inline engine under speculation, whose
+    // rollbacks replay through sorted service: the stall fires once,
+    // on core 3's first visit at or past cycle 2500, and every
+    // simulated statistic matches the run without it.
+    SimConfig config = specConfig();
+    config.engine.parallelHost = true;
+    config.engine.hostThreads = 1;
+
+    SimConfig faulted_config = config;
+    faulted_config.engine.faultSpecs = {"worker-stall@cycle:2500:30:3"};
+    const RunResult faulted = runSimulation(faulted_config);
+    const RunResult clean = runSimulation(config);
+
+    const auto *stall = findRecord(faulted, FaultKind::WorkerStall);
+    ASSERT_NE(stall, nullptr);
+    EXPECT_NE(stall->detail.find("core 3"), std::string::npos);
+    EXPECT_EQ(stall->cycle, 2500u);
+    EXPECT_GT(faulted.host.rollbacks, 0u);
+    EXPECT_EQ(faulted.host.rollbacks, clean.host.rollbacks);
+    EXPECT_EQ(faulted.execCycles, clean.execCycles);
+    EXPECT_EQ(faulted.committedUops, clean.committedUops);
+    EXPECT_TRUE(faulted.perCore == clean.perCore);
+    EXPECT_TRUE(faulted.uncore == clean.uncore);
+    EXPECT_TRUE(faulted.violations == clean.violations);
 }
 
 TEST(FaultInjection, BackpressureBurstDrainsAndCompletes)
@@ -305,7 +337,7 @@ TEST(FaultInjection, IoFailureIsWarnedAndCounted)
 {
     SimConfig config = specConfig();
     config.engine.obs.metricsOut =
-        ::testing::TempDir() + "/fault_io_metrics.csv";
+        test::scratchPath("fault_io_metrics.csv");
     config.engine.faultSpecs = {"io-fail@write:1"};
     const RunResult r = runSimulation(config);
     expectCompleted(config, r);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/run.hh"
+#include "scratch_path.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
 
@@ -154,7 +155,7 @@ TEST(MetricsSampler, SlackLagColumnIsDriftAboveSlowestCore)
     row.coreOutQ = {0, 7};
     sampler.push(100, row);
 
-    const std::string path = testing::TempDir() + "obs_metrics_lag.csv";
+    const std::string path = test::scratchPath("obs_metrics_lag.csv");
     {
         std::ofstream os(path);
         sampler.writeCsv(os);
@@ -174,7 +175,7 @@ TEST(MetricsSeries, AdaptiveBoundDescendsTowardTargetBand)
 {
     setQuietLogging(true);
     const std::string path =
-        testing::TempDir() + "obs_metrics_adaptive.csv";
+        test::scratchPath("obs_metrics_adaptive.csv");
 
     // The uniform micro kernel violates constantly; starting the
     // controller way above any sustainable bound must produce a
@@ -222,7 +223,7 @@ TEST(MetricsSeries, SpeculativeRunShowsRollbackReplayResume)
 {
     setQuietLogging(true);
     const std::string path =
-        testing::TempDir() + "obs_metrics_spec.csv";
+        test::scratchPath("obs_metrics_spec.csv");
 
     // Bounded slack 32 on the sharing-heavy micro kernel guarantees
     // violations; speculative checkpoints then force at least one

@@ -27,6 +27,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/recorder.hh"
 #include "obs/trace_buffer.hh"
+#include "scratch_path.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
 
@@ -219,7 +220,7 @@ traceFromRun(SimConfig config, const std::string &stem,
              RunResult *result = nullptr)
 {
     setQuietLogging(true);
-    const std::string path = testing::TempDir() + stem + ".json";
+    const std::string path = test::scratchPath(stem + ".json");
     config.engine.obs.traceOut = path;
     const RunResult r = runSimulation(config);
     if (result)
@@ -568,7 +569,7 @@ TEST(ChromeTrace, GoldenSpansFromTinyEngineRun)
 {
     setQuietLogging(true);
     const std::string path =
-        testing::TempDir() + "obs_trace_golden.json";
+        test::scratchPath("obs_trace_golden.json");
 
     SimConfig config;
     config.workload.kernel = "uniform";

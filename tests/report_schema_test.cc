@@ -17,6 +17,7 @@
 #include "core/run.hh"
 #include "json_lite.hh"
 #include "obs/run_report.hh"
+#include "scratch_path.hh"
 
 using namespace slacksim;
 
@@ -36,17 +37,11 @@ smallConfig(SchemeKind scheme, bool parallel_host)
     return config;
 }
 
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
-
 jsonlite::Value
 runAndParse(SimConfig config, const std::string &name,
             RunResult *result_out = nullptr)
 {
-    const std::string path = tempPath(name);
+    const std::string path = test::scratchPath(name);
     config.engine.obs.reportOut = path;
     const RunResult r = runSimulation(config);
     if (result_out)
@@ -441,13 +436,13 @@ TEST(RunReport, ObserveExampleEndToEnd)
 #ifndef SLACKSIM_OBSERVE_BIN
     GTEST_SKIP() << "observe binary path not provided";
 #else
-    const std::string report = tempPath("observe_report.json");
-    const std::string metrics = tempPath("observe_metrics.csv");
+    const std::string report = test::scratchPath("observe_report.json");
+    const std::string metrics = test::scratchPath("observe_metrics.csv");
     const std::string cmd = std::string(SLACKSIM_OBSERVE_BIN) +
                             " --serial --uops=20000" +
                             " --report-out=" + report +
                             " --metrics-out=" + metrics +
-                            " > " + tempPath("observe_stdout.txt") +
+                            " > " + test::scratchPath("observe_stdout.txt") +
                             " 2>&1";
     ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 

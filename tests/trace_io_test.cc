@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "scratch_path.hh"
 #include "util/histogram.hh"
 #include "workload/kernels.hh"
 #include "workload/trace_io.hh"
@@ -20,12 +21,6 @@
 using namespace slacksim;
 
 namespace {
-
-std::string
-tmpPath(const std::string &name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 struct FileGuard
 {
@@ -47,7 +42,7 @@ TEST(TraceIo, RoundTripPreservesEverything)
     params.molecules = 16;
     const Workload original = makeWorkload(params);
 
-    FileGuard file(tmpPath("water_trace.bin"));
+    FileGuard file(test::scratchPath("water_trace.bin"));
     saveWorkload(original, file.path);
     const Workload loaded = loadWorkload(file.path);
 
@@ -86,7 +81,7 @@ TEST(TraceIo, RoundTripsTracesLongerThanAChunk)
         b.end();
     }
 
-    FileGuard file(tmpPath("long_trace.bin"));
+    FileGuard file(test::scratchPath("long_trace.bin"));
     saveWorkload(original, file.path);
     const Workload loaded = loadWorkload(file.path);
     ASSERT_EQ(loaded.threads.size(), original.threads.size());
@@ -108,7 +103,7 @@ TEST(TraceIo, MissingFileIsFatal)
 
 TEST(TraceIo, GarbageFileIsFatal)
 {
-    FileGuard file(tmpPath("garbage.bin"));
+    FileGuard file(test::scratchPath("garbage.bin"));
     {
         std::ofstream out(file.path, std::ios::binary);
         out << "this is not a trace file at all, not even close";
@@ -123,7 +118,7 @@ TEST(TraceIo, TruncatedFileIsFatal)
     params.numThreads = 2;
     params.iters = 10;
     const Workload w = makeWorkload(params);
-    FileGuard file(tmpPath("truncated.bin"));
+    FileGuard file(test::scratchPath("truncated.bin"));
     saveWorkload(w, file.path);
 
     // Chop the file in half.
@@ -177,7 +172,7 @@ TEST(TraceIo, OversizedRecordCountIsAShortRead)
 {
     // Records are read a chunk at a time, so claiming 2^32 of them
     // costs one chunk, not a 32 GiB allocation.
-    FileGuard file(tmpPath("oversized.bin"));
+    FileGuard file(test::scratchPath("oversized.bin"));
     const std::uint64_t barrier =
         TraceInstr::make(TraceOp::Barrier, 0).word();
     writeTraceFile(file.path, 2, std::uint64_t{1} << 32,
@@ -187,14 +182,14 @@ TEST(TraceIo, OversizedRecordCountIsAShortRead)
 
 TEST(TraceIo, VersionOneFileIsRejected)
 {
-    FileGuard file(tmpPath("version1.bin"));
+    FileGuard file(test::scratchPath("version1.bin"));
     writeTraceFile(file.path, 1, 0, {});
     EXPECT_DEATH(loadWorkload(file.path), "unsupported trace version 1");
 }
 
 TEST(TraceIo, UnknownOpIsRejectedOnLoad)
 {
-    FileGuard file(tmpPath("badop.bin"));
+    FileGuard file(test::scratchPath("badop.bin"));
     // The first record's op bits read 7, which is no TraceOp.
     writeTraceFile(file.path, 2, 2,
                    {0x1007, TraceInstr::make(TraceOp::End, 0).word()});
@@ -204,7 +199,7 @@ TEST(TraceIo, UnknownOpIsRejectedOnLoad)
 TEST(TraceIo, ZeroCodeFootprintIsRejectedOnLoad)
 {
     // The core takes its fetch address modulo the code footprint.
-    FileGuard file(tmpPath("nocode.bin"));
+    FileGuard file(test::scratchPath("nocode.bin"));
     writeTraceFile(file.path, 2, 1,
                    {TraceInstr::make(TraceOp::End, 0).word()}, 0);
     EXPECT_DEATH(loadWorkload(file.path),
