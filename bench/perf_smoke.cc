@@ -25,6 +25,10 @@
  *               ... ]
  *   }
  *
+ * "checkpoint_async_seconds" reads 0: checkpoints seal on the
+ * manager, so all their time is "checkpoint_seconds". The column
+ * stays so old and new recordings keep one schema.
+ *
  * "host_threads" is per run and reports what the engine *actually
  * used* (RunResult host.hostThreadsUsed: manager + workers),
  * not the machine's concurrency — earlier recordings wrote one global

@@ -32,8 +32,9 @@
  *   }
  *
  * "threads_spawned" is the reuse proof: the sequential column grows
- * linearly with the job count (cores workers per run), the daemon
- * column is the pool size regardless of how many jobs ran.
+ * linearly with the job count (the workers each run launches,
+ * JobSpec::hostThreads() - 1), the daemon column is the pool size
+ * regardless of how many jobs ran.
  *
  * --isolation=process runs every daemon job in a forked supervised
  * child (the crash-proof production default); "spawn_overhead_ms"
@@ -158,8 +159,8 @@ main(int argc, char **argv)
     const std::uint32_t cores =
         static_cast<std::uint32_t>(opts.getUint("cores", 4));
     const std::uint64_t uops = uopBudget(opts, 40000);
-    // Default budget fits two concurrent jobs (manager + cores each):
-    // enough to show overlap without oversubscribing small hosts.
+    // Default budget fits two concurrent jobs even at one worker per
+    // core: enough to show overlap without oversubscribing small hosts.
     const std::uint32_t threads = static_cast<std::uint32_t>(
         opts.getUint("threads", 2 * (cores + 1)));
     const std::string isolation = opts.get("isolation", "inline");
@@ -178,7 +179,9 @@ main(int argc, char **argv)
 
     const double seq_seconds = runSequential(sweep);
     // Each standalone parallel-host run spawns its own worker threads.
-    const std::uint64_t seq_threads = jobs * cores;
+    std::uint64_t seq_threads = 0;
+    for (const JobSpec &spec : sweep)
+        seq_threads += spec.hostThreads() - 1;
     std::cout << "sequential: " << seq_seconds << " s, "
               << jobsPerMin(jobs, seq_seconds) << " jobs/min ("
               << seq_threads << " threads spawned)\n";

@@ -59,93 +59,6 @@ Checkpointer::Checkpointer(SimSystem &sys, Pacer &pacer,
     }
 }
 
-Checkpointer::~Checkpointer()
-{
-    if (!sealThread_)
-        return;
-    {
-        std::lock_guard<std::mutex> lk(sealMutex_);
-        sealStop_ = true;
-    }
-    sealCv_.notify_all();
-    sealThread_->join();
-}
-
-double
-Checkpointer::sealAndCopy(std::uint32_t idx)
-{
-    const double t0 = nowSeconds();
-    sealSnapshot(gens_[idx].buf);
-    // Optionally emulate a heavier checkpoint technology (fork()
-    // pays copy-on-write page faults across the whole virtual
-    // space) by actually copying an arena of configured size. The
-    // scratch destination is persistent so the emulated Tcpt term
-    // measures copy bandwidth, not allocator churn.
-    if (!extraCopyArena_.empty()) {
-        extraCopyScratch_.resize(extraCopyArena_.size());
-        std::memcpy(extraCopyScratch_.data(), extraCopyArena_.data(),
-                    extraCopyScratch_.size());
-        extraCopyArena_[0] = static_cast<std::uint8_t>(
-            extraCopyScratch_[extraCopyScratch_.size() / 2] + 1);
-    }
-    return nowSeconds() - t0;
-}
-
-void
-Checkpointer::sealThreadMain()
-{
-    std::unique_lock<std::mutex> lk(sealMutex_);
-    for (;;) {
-        sealCv_.wait(lk,
-                     [this] { return sealJobPending_ || sealStop_; });
-        if (!sealJobPending_) // stop with nothing queued
-            return;
-        sealJobPending_ = false;
-        const std::uint32_t idx = sealIdx_;
-        lk.unlock();
-        const double busy = sealAndCopy(idx);
-        lk.lock();
-        sealBusySeconds_ = busy;
-        sealJobDone_ = true;
-        sealCv_.notify_all();
-        if (sealStop_)
-            return;
-    }
-}
-
-void
-Checkpointer::waitAsync()
-{
-    if (!sealOutstanding_)
-        return;
-    // Only the time the manager actually spends blocked here is
-    // critical path; the seal thread's busy time already overlapped
-    // with forward simulation and is accounted separately.
-    const double t0 = nowSeconds();
-    {
-        std::unique_lock<std::mutex> lk(sealMutex_);
-        sealCv_.wait(lk, [this] { return sealJobDone_; });
-        sealJobDone_ = false;
-    }
-    host_->checkpointSeconds += nowSeconds() - t0;
-    host_->checkpointAsyncSeconds += sealBusySeconds_;
-    sealOutstanding_ = false;
-
-    Generation &g = gens_[sealIdx_];
-    g.takenAt = sealTakenAt_;
-    g.valid = true;
-    active_ = sealIdx_;
-    haveCheckpoint_ = true;
-    host_->checkpointBytes = g.buf.size();
-    // Snapshot faults stay deferred to this join: they must land
-    // *after* sealing (the damage is exactly what the integrity
-    // trailer exists to catch) and they must fire on the manager
-    // thread, where the run's fault plan is bound.
-    if (auto *plan = fault::FaultPlan::active())
-        plan->fireSnapshotFault(sealCheckpointNo_, g.buf,
-                                sealTakenAt_);
-}
-
 Checkpointer::Event
 Checkpointer::takeCheckpoint(Tick now)
 {
@@ -215,16 +128,11 @@ Checkpointer::takeCheckpoint(Tick now)
         if (outcome == ForkCheckpointer::Outcome::RolledBack)
             event = Event::ResumedFromRollback;
     } else {
-        // A seal still in flight must land first: its generation is
-        // about to become the spare this serialization overwrites.
-        waitAsync();
         const double t0 = nowSeconds();
         // Serialize into the spare generation (reusing its capacity)
         // and only then promote it: gens_[active_] stays a valid
         // rollback image even if save() throws halfway through, and
-        // then stays around as the last-good fallback. Serialization
-        // itself is always synchronous — it reads the live quiesced
-        // world — only the seal/copy tail may go to the background.
+        // then stays around as the last-good fallback.
         const std::uint32_t spare = active_ ^ 1;
         SnapshotWriter writer(std::move(gens_[spare].buf));
         sys_.save(writer);
@@ -232,41 +140,29 @@ Checkpointer::takeCheckpoint(Tick now)
         mgr_.save(writer);
         gens_[spare].buf = writer.release();
         ++host_->checkpointsTaken;
-        if (asyncSeal()) {
-            // Hand the seal to the background thread and return to
-            // forward simulation; waitAsync() promotes the generation
-            // (and fires any deferred snapshot fault) at the next
-            // join point. Until then the previous generation stays
-            // the active rollback image.
-            gens_[spare].valid = false;
-            sealIdx_ = spare;
-            sealTakenAt_ = now;
-            sealCheckpointNo_ = host_->checkpointsTaken;
-            host_->checkpointBytes = gens_[spare].buf.size();
-            if (!sealThread_) {
-                sealThread_ = sealRunner_.launch(
-                    [this] { sealThreadMain(); });
-            }
-            {
-                std::lock_guard<std::mutex> lk(sealMutex_);
-                sealJobPending_ = true;
-                sealJobDone_ = false;
-            }
-            sealCv_.notify_all();
-            sealOutstanding_ = true;
-        } else {
-            sealAndCopy(spare);
-            gens_[spare].takenAt = now;
-            gens_[spare].valid = true;
-            active_ = spare;
-            haveCheckpoint_ = true;
-            host_->checkpointBytes = gens_[active_].buf.size();
-            // Snapshot faults land *after* sealing: the damage is
-            // exactly what the integrity trailer exists to catch.
-            if (plan) {
-                plan->fireSnapshotFault(host_->checkpointsTaken,
-                                        gens_[active_].buf, now);
-            }
+        sealSnapshot(gens_[spare].buf);
+        // Optionally emulate a heavier checkpoint technology (fork()
+        // pays copy-on-write page faults across the whole virtual
+        // space) by actually copying an arena of configured size. The
+        // scratch destination is persistent so the emulated Tcpt term
+        // measures copy bandwidth, not allocator churn.
+        if (!extraCopyArena_.empty()) {
+            extraCopyScratch_.resize(extraCopyArena_.size());
+            std::memcpy(extraCopyScratch_.data(), extraCopyArena_.data(),
+                        extraCopyScratch_.size());
+            extraCopyArena_[0] = static_cast<std::uint8_t>(
+                extraCopyScratch_[extraCopyScratch_.size() / 2] + 1);
+        }
+        gens_[spare].takenAt = now;
+        gens_[spare].valid = true;
+        active_ = spare;
+        haveCheckpoint_ = true;
+        host_->checkpointBytes = gens_[active_].buf.size();
+        // Snapshot faults land *after* sealing: the damage is exactly
+        // what the integrity trailer exists to catch.
+        if (plan) {
+            plan->fireSnapshotFault(host_->checkpointsTaken,
+                                    gens_[active_].buf, now);
         }
         const double dt = nowSeconds() - t0;
         host_->checkpointSeconds += dt;
@@ -323,7 +219,6 @@ Checkpointer::takeCheckpoint(Tick now)
 void
 Checkpointer::finalizeHostStats()
 {
-    waitAsync();
     // A run that stops inside a replay window (uop cap hit, workload
     // finished mid-interval) would otherwise leak the open "replay"
     // span into the Chrome trace; close it at the final global time
@@ -350,9 +245,6 @@ Checkpointer::finalizeHostStats()
 Checkpointer::RollbackResult
 Checkpointer::rollback(Tick current_global)
 {
-    // A just-taken checkpoint may still be sealing; join it so the
-    // freshest generation is eligible for this restore.
-    waitAsync();
     SLACKSIM_ASSERT(haveCheckpoint_, "rollback without a checkpoint");
     obs::Scope rollback(obs::Phase::RollbackReplay);
 

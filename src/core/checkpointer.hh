@@ -15,10 +15,8 @@
 #ifndef SLACKSIM_CORE_CHECKPOINTER_HH
 #define SLACKSIM_CORE_CHECKPOINTER_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/config.hh"
@@ -26,7 +24,6 @@
 #include "core/manager_logic.hh"
 #include "core/pacer.hh"
 #include "core/sim_system.hh"
-#include "util/task_runner.hh"
 
 namespace slacksim {
 
@@ -35,26 +32,15 @@ class AdaptiveDecisionLog;
 } // namespace obs
 
 /** Checkpoint/rollback controller; all calls on the manager thread
- *  while the simulation is quiesced.
- *
- *  Async seal (CheckpointParams::asyncSeal, Memory technology only):
- *  serialization still runs synchronously on the manager — it reads
- *  the live quiesced world — but the integrity-trailer seal and the
- *  extra-copy emulation run on a dedicated persistent background
- *  thread, overlapped with forward simulation. The in-flight
- *  generation is promoted to the active rollback image at the next
- *  join point (the following checkpoint, a rollback, or stat
- *  finalization); until then the previous generation stays active
- *  and restorable. Seal-thread busy time is reported as
- *  HostStats::checkpointAsyncSeconds, never as critical-path
- *  checkpointSeconds — only time the manager actually spends blocked
- *  waiting on an unfinished seal lands on the critical path. */
+ *  while the simulation is quiesced. A checkpoint's serialization,
+ *  integrity seal and emulated extra copy all run there, so
+ *  HostStats::checkpointSeconds is the whole critical-path cost the
+ *  paper calls Tcpt, and checkpointing adds no host thread. */
 class Checkpointer
 {
   public:
     Checkpointer(SimSystem &sys, Pacer &pacer, ManagerLogic &mgr,
                  const EngineConfig &engine, HostStats *host);
-    ~Checkpointer();
 
     /** @return true when checkpointing is configured on. */
     bool
@@ -159,26 +145,7 @@ class Checkpointer
         decisionLog_ = log;
     }
 
-    /** Join the in-flight async seal, if any: blocks until the seal
-     *  thread finished, then promotes the sealed generation to the
-     *  active rollback image and fires any deferred snapshot fault
-     *  (on the calling manager thread, where the fault plan is
-     *  bound). No-op when nothing is outstanding. */
-    void waitAsync();
-
   private:
-    /** @return true when this run seals snapshots asynchronously. */
-    bool
-    asyncSeal() const
-    {
-        return engine_.checkpoint.asyncSeal && !fork_;
-    }
-
-    void sealThreadMain();
-    /** Seal + extra-copy for generation @p idx (both threads use
-     *  this; the sync path calls it inline). @return seconds spent. */
-    double sealAndCopy(std::uint32_t idx);
-
     SimSystem &sys_;
     Pacer &pacer_;
     ManagerLogic &mgr_;
@@ -214,24 +181,6 @@ class Checkpointer
     bool speculationSuppressed_ = false;
     obs::AdaptiveDecisionLog *decisionLog_ = nullptr;
     std::uint64_t replayStartNs_ = 0; //!< wall ns when replay began
-
-    /** Async-seal machinery. The seal thread is spawned lazily on
-     *  the first async checkpoint and lives for the Checkpointer's
-     *  lifetime. It is deliberately *not* registered with the
-     *  obs recorder: its busy time is off the simulation's
-     *  critical path and is reported via checkpointAsyncSeconds. */
-    ThreadSpawnRunner sealRunner_;
-    std::unique_ptr<TaskRunner::Handle> sealThread_;
-    std::mutex sealMutex_;
-    std::condition_variable sealCv_;
-    bool sealJobPending_ = false; //!< posted, seal thread not started
-    bool sealJobDone_ = false;    //!< seal thread finished the job
-    bool sealStop_ = false;       //!< destructor shutdown flag
-    bool sealOutstanding_ = false; //!< manager owes a waitAsync()
-    std::uint32_t sealIdx_ = 0;    //!< generation being sealed
-    Tick sealTakenAt_ = 0;
-    std::uint64_t sealCheckpointNo_ = 0; //!< deferred-fault ordinal
-    double sealBusySeconds_ = 0.0; //!< seal-thread time for the job
 };
 
 } // namespace slacksim

@@ -5,6 +5,7 @@
 
 #include "core/config.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
@@ -125,6 +126,24 @@ SimConfig::validate() const
         target.l1d.lineBytes != target.l2.lineBytes) {
         SLACKSIM_FATAL("L1/L2 line sizes must match");
     }
+}
+
+std::uint32_t
+engineWorkers(const SimConfig &config, unsigned hardware)
+{
+    const EngineConfig &engine = config.engine;
+    if (!engine.parallelHost ||
+        engine.scheme == SchemeKind::CycleByCycle) {
+        return 0;
+    }
+    const std::uint32_t requested =
+        engine.hostThreads ? engine.hostThreads : std::max(1u, hardware);
+    const std::uint32_t cores = config.target.numCores;
+    const std::uint32_t asked = std::min(cores, requested - 1);
+    if (asked == 0)
+        return 0;
+    const std::uint32_t per = (cores + asked - 1) / asked;
+    return (cores + per - 1) / per;
 }
 
 } // namespace slacksim

@@ -104,17 +104,6 @@ struct CheckpointParams
      * forever, the pre-fault-tolerance behavior).
      */
     std::uint64_t childTimeoutMs = 0;
-
-    /**
-     * Memory technology only: seal the serialized arena (integrity
-     * trailer + emulated extra-copy cost) on a background host thread
-     * so forward simulation overlaps with it. The serialization itself
-     * stays synchronous (it reads live quiesced state); only the work
-     * on the immutable arena moves off the critical path, and it is
-     * reported as background host time (checkpointAsyncSeconds), not
-     * critical-path checkpoint_seconds.
-     */
-    bool asyncSeal = true;
 };
 
 /**
@@ -192,13 +181,15 @@ struct EngineConfig
 
     /**
      * Host threads the parallel engine may occupy, *including* the
-     * manager thread: N-1 worker threads are launched and the
-     * simulated cores are partitioned across them (parti-gem5-style
-     * partitioned event servicing). 1 = inline mode: no workers at
-     * all, the manager drives every core burst itself (the honest
-     * configuration for a single-CPU host, where extra threads only
-     * buy context switches). 0 = auto-size from
-     * std::thread::hardware_concurrency().
+     * manager thread. The simulated cores are split into equal spans
+     * for at most N-1 worker threads, one worker per span
+     * (parti-gem5-style partitioned event servicing), so fewer may
+     * launch: 8 cores at N = 8 make spans of 2 and launch 4 workers.
+     * engineWorkers() below is the one place that counts them. 1 =
+     * inline mode: no workers at all, the manager drives every core
+     * burst itself (the honest configuration for a single-CPU host,
+     * where extra threads only buy context switches). 0 = auto-size
+     * from std::thread::hardware_concurrency().
      */
     std::uint32_t hostThreads = 0;
 
@@ -261,6 +252,24 @@ struct SimConfig
     /** Validate cross-field consistency; fatal on user error. */
     void validate() const;
 };
+
+/**
+ * The worker threads the parallel engine launches for @p config on a
+ * host with @p hardware CPUs (std::thread::hardware_concurrency(), 0
+ * when unknown); a run occupies these plus the manager's thread.
+ *
+ * 0 for the serial engine and for cycle-by-cycle runs, whose sorted
+ * service is the manager's. Otherwise EngineConfig::hostThreads
+ * (max(1, @p hardware) when 0) counts the manager, so
+ * min(cores, hostThreads - 1) workers are asked for. The cores split
+ * into spans of ceil(cores / asked), and one worker runs each
+ * non-empty span: 8 cores at hostThreads 8 launch 4 workers.
+ *
+ * ParallelEngine partitions its cores with this, and serve admission
+ * (serve::JobSpec::hostThreads) reserves 1 plus it, so a job reserves
+ * exactly the threads its run uses.
+ */
+std::uint32_t engineWorkers(const SimConfig &config, unsigned hardware);
 
 } // namespace slacksim
 

@@ -54,31 +54,23 @@ ParallelEngine::ParallelEngine(SimSystem &sys)
       wakePending_(sys.numCores()),
       board_(sys.numCores())
 {
-    // Worker topology. EngineConfig::hostThreads counts the manager,
-    // so W = hostThreads - 1 workers share the simulated cores; the
-    // auto policy (hostThreads = 0) sizes from the machine so a
-    // single-CPU host lands in inline mode (W = 0) where concurrency
-    // could only ever add park/wake overhead. Sorted service is the
-    // manager's, so a cycle-by-cycle run launches no workers at all.
-    std::uint32_t requested = engine_.hostThreads;
-    if (requested == 0) {
-        requested =
-            std::max(1u, std::thread::hardware_concurrency());
-    }
-    const std::uint32_t want =
-        pacer_.sortedService()
-            ? 0
-            : std::min<std::uint32_t>(sys_.numCores(), requested - 1);
-    if (want > 0) {
-        const CoreId per = (sys_.numCores() + want - 1) / want;
-        for (std::uint32_t w = 0; w < want; ++w) {
+    // Worker topology: engineWorkers() decides how many workers run,
+    // the same count serve admission reserves, and each owns an equal
+    // span of the cores. A single-CPU host and every cycle-by-cycle
+    // run land in inline mode (no workers): sorted service is the
+    // manager's.
+    const std::uint32_t workers = engineWorkers(
+        sys_.config(), std::thread::hardware_concurrency());
+    if (workers > 0) {
+        const CoreId per = (sys_.numCores() + workers - 1) / workers;
+        for (std::uint32_t w = 0; w < workers; ++w) {
             auto wc = std::make_unique<WorkerControl>();
             wc->first = static_cast<CoreId>(w * per);
             wc->last = static_cast<CoreId>(
                 std::min<std::uint64_t>(sys_.numCores(),
                                         std::uint64_t{w + 1} * per));
-            if (wc->first < wc->last)
-                workers_.push_back(std::move(wc));
+            SLACKSIM_ASSERT(wc->first < wc->last, "empty worker span");
+            workers_.push_back(std::move(wc));
         }
     }
     workerCount_ = static_cast<std::uint32_t>(workers_.size());

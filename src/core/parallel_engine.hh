@@ -5,9 +5,10 @@
  * (paper Section 2, generalized to host-topology-aware scheduling).
  *
  * Host-thread multiplexing: instead of the paper's fixed one-thread-
- * per-core mapping, the simulated cores are partitioned across
- * EngineConfig::hostThreads - 1 worker threads (auto-sized from the
- * host when 0), parti-gem5-style. Each worker round-robins bursts
+ * per-core mapping, the simulated cores are partitioned into equal
+ * spans across the worker threads engineWorkers() (core/config.hh)
+ * resolves from EngineConfig::hostThreads, parti-gem5-style. Each
+ * worker round-robins bursts
  * over its owned cores and only parks when *every* owned core is
  * blocked, which collapses the per-core park/wake storms the profiler
  * attributed most parallel host time to. The degenerate inline mode

@@ -75,16 +75,14 @@ SerialEngine::run()
         // Single host thread: every simulated core is informational
         // only (the engine's own livelock panics cover real stalls,
         // and a paused core clock is normal round-robin scheduling).
+        // The dump prints each core's atomic clock; no progress probe,
+        // since the watchdog thread must read nothing else the
+        // manager writes.
         for (CoreId c = 0; c < sys_.numCores(); ++c) {
             wd->addWorker("core " + std::to_string(c),
                           &sys_.core(c).localClock(), nullptr,
                           /*stall_eligible=*/false);
         }
-        wd->setProgressProbe([this] {
-            return "global=" + std::to_string(sys_.globalTime()) +
-                   " committed=" +
-                   std::to_string(sys_.totalCommittedUops());
-        });
         wd->start();
     }
 

@@ -124,9 +124,8 @@ writeResultSection(JsonWriter &w, const RunResult &r)
     w.field("checkpoints", r.host.checkpointsTaken);
     w.field("checkpoint_bytes", r.host.checkpointBytes);
     w.field("checkpoint_seconds", r.host.checkpointSeconds);
-    // Seal/copy work a background thread absorbed while the cores
-    // kept simulating — overlapped host time, deliberately *not* part
-    // of the critical-path checkpoint_seconds above.
+    // Always 0 since checkpoints seal on the manager; the key stays
+    // so the v5 key set is unchanged.
     w.field("checkpoint_async_seconds", r.host.checkpointAsyncSeconds);
     w.field("rollbacks", r.host.rollbacks);
     w.field("wasted_cycles", r.host.wastedCycles);

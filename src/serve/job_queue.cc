@@ -88,6 +88,7 @@ JobQueue::submit(JobSpec spec, const std::string &idempotencyKey,
     auto job = std::make_unique<Job>();
     job->id = id;
     job->spec = std::move(spec);
+    job->hostThreads = job->spec.hostThreads();
     if (job->spec.name.empty())
         job->spec.name = "job-" + std::to_string(id);
     job->idempotencyKey = idempotencyKey;
@@ -153,7 +154,7 @@ JobQueue::admitNext(std::uint32_t freeThreads,
         (void)id;
         if (job->state != JobState::Queued)
             continue;
-        if (job->spec.hostThreads() > freeThreads ||
+        if (job->hostThreads > freeThreads ||
             job->spec.memEstimateMb() > freeMemMb) {
             if (!skipped || job->spec.priority > skipped->spec.priority)
                 skipped = job.get();
@@ -400,7 +401,7 @@ JobQueue::viewLocked(const Job &job) const
     v.kernel = job.spec.kernel;
     v.state = job.state;
     v.priority = job.spec.priority;
-    v.hostThreads = job.spec.hostThreads();
+    v.hostThreads = job.hostThreads;
     v.error = job.error;
     v.outDir = job.outDir;
     v.timedOut = job.timedOut;

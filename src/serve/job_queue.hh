@@ -72,6 +72,9 @@ struct Job
 {
     std::uint64_t id = 0;
     JobSpec spec;
+    /** spec.hostThreads(), resolved once at submit: admission checks,
+     *  reserves and releases this same value. */
+    std::uint32_t hostThreads = 1;
     JobState state = JobState::Queued;
     std::string error;  //!< reason for Failed
     std::string outDir; //!< per-job output directory (set at admit)

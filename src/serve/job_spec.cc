@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "util/json.hh"
@@ -475,6 +476,13 @@ JobSpec::toConfig() const
         config.engine.faultSpecs.push_back(faultSpec);
     config.engine.faultSeed = faultSeed;
     return config;
+}
+
+std::uint32_t
+JobSpec::hostThreads() const
+{
+    return 1 + engineWorkers(toConfig(),
+                             std::thread::hardware_concurrency());
 }
 
 std::string

@@ -24,9 +24,10 @@
  *     "checkpoint":    string   off|measure|speculative (default off)
  *     "checkpoint_interval": uint  cycles, >=100 (default 50000)
  *     "parallel_host": bool     threaded engine (default true)
- *     "host_threads":  uint     total host threads incl. the manager
+ *     "host_threads":  uint     most host threads incl. the manager
  *                               (0 = auto-size from the machine;
- *                               1 = inline mode; parallel only)
+ *                               1 = inline mode; parallel only;
+ *                               hostThreads() below is what runs)
  *     "clusters":      uint     retired: only 0 is accepted, so
  *                               specs journaled while relay threads
  *                               existed stay readable
@@ -127,28 +128,14 @@ struct JobSpec
     SimConfig toConfig() const;
 
     /**
-     * Host threads the job occupies while running: the manager plus,
-     * on the parallel engine, the worker threads. A cycle-by-cycle
-     * run launches no workers, whatever host_threads asks for: the
-     * manager drives sorted service itself. Otherwise, with no
-     * host_threads override the engine auto-sizes its workers from
-     * the machine, so admission reserves the one-per-core worst case.
-     * This is the quantity admission control reserves against the
-     * global core budget.
+     * Host threads the job occupies while running: the manager plus
+     * the workers engineWorkers() (core/config.hh) resolves for
+     * toConfig() on this host, which is what the run launches and
+     * reports as host_threads_used. A cycle-by-cycle or serial run
+     * takes the manager's thread alone. This is the quantity
+     * admission control reserves against the global thread budget.
      */
-    std::uint32_t
-    hostThreads() const
-    {
-        if (!parallelHost || scheme == "cc")
-            return 1;
-        const std::uint32_t workers =
-            hostThreadsOverride
-                ? (hostThreadsOverride > cores + 1
-                       ? cores
-                       : hostThreadsOverride - 1)
-                : cores;
-        return 1 + workers;
-    }
+    std::uint32_t hostThreads() const;
 
     /** Admission memory estimate (MiB): the override when given,
      *  else a coarse per-core model of the simulated state. */

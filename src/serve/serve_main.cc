@@ -44,7 +44,8 @@ const std::vector<slacksim::OptionSpec> kFlags = {
     {"out-root", "DIR",
      "per-job output directories live here (default serve-out)"},
     {"threads", "N",
-     "global host-thread budget / pool size (default: hardware)"},
+     "global host-thread budget / pool size (default: hardware "
+     "concurrency, at least 8)"},
     {"mem-budget-mb", "N",
      "global admission memory budget in MiB (default 16384)"},
     {"drain-deadline-ms", "N",

@@ -478,7 +478,7 @@ Server::reapFinished(bool joinAll)
 void
 Server::startJob(Job *job)
 {
-    const std::uint32_t threads = job->spec.hostThreads();
+    const std::uint32_t threads = job->hostThreads;
     const std::uint64_t mem = job->spec.memEstimateMb();
     reservedThreads_.fetch_add(threads, std::memory_order_relaxed);
     reservedMemMb_.fetch_add(mem, std::memory_order_relaxed);

@@ -77,8 +77,8 @@ class Server
         /** Per-job output directories live under here. */
         std::string outRoot = "serve-out";
         /** Global host-thread budget = worker pool size. 0 picks the
-         *  host's hardware concurrency (min 8: a job needs manager +
-         *  cores threads to make progress). */
+         *  host's hardware concurrency, at least 8. A job reserves
+         *  JobSpec::hostThreads(), the threads its run launches. */
         std::uint32_t threadBudget = 0;
         /** Global admission memory budget (MiB). */
         std::uint64_t memBudgetMb = 16384;

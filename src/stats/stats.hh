@@ -160,8 +160,9 @@ struct HostStats
 {
     double wallSeconds = 0.0;           //!< engine run wall-clock time
     double checkpointSeconds = 0.0;     //!< critical-path snapshot time
-    /** Snapshot seal/copy time overlapped with forward simulation on
-     *  the async checkpoint thread; never on the critical path. */
+    /** Always 0: checkpoints seal on the manager, so all their time
+     *  is checkpointSeconds. Kept for the run report's v5 key set
+     *  (checkpoint_async_seconds) and for perfbench_driver. */
     double checkpointAsyncSeconds = 0.0;
     std::uint64_t checkpointsTaken = 0;
     std::uint64_t checkpointBytes = 0;  //!< size of the last snapshot

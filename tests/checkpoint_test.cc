@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <stop_token>
+#include <string>
+#include <thread>
 
 #include "core/manager_logic.hh"
 #include "core/run.hh"
@@ -139,64 +146,110 @@ TEST(Speculative, SerialSpeculativeIsDeterministic)
     EXPECT_EQ(a.host.wastedCycles, b.host.wastedCycles);
 }
 
-TEST(Speculative, AsyncSealMatchesSyncSealExactly)
+TEST(Speculative, CheckpointTimeIsAllCriticalPath)
 {
-    // Moving the seal (integrity trailer + emulated extra copy) to a
-    // background thread must be invisible to the simulation: the
-    // pending generation promotes at the next checkpoint, rollback or
-    // finalize join, before anything can consume it.
-    SimConfig sync_cfg = measureConfig("falseshare", 1000, false);
-    sync_cfg.engine.checkpoint.mode = CheckpointMode::Speculative;
-    sync_cfg.engine.adaptive.initialBound = 32;
-    sync_cfg.engine.adaptive.targetViolationRate = 0.05;
-    SimConfig async_cfg = sync_cfg;
-    sync_cfg.engine.checkpoint.asyncSeal = false;
-    async_cfg.engine.checkpoint.asyncSeal = true;
-
-    const auto s = runSimulation(sync_cfg);
-    const auto a = runSimulation(async_cfg);
-    EXPECT_EQ(s.execCycles, a.execCycles);
-    EXPECT_EQ(s.committedUops, a.committedUops);
-    EXPECT_EQ(s.host.checkpointsTaken, a.host.checkpointsTaken);
-    EXPECT_EQ(s.host.rollbacks, a.host.rollbacks);
-    EXPECT_EQ(s.host.wastedCycles, a.host.wastedCycles);
-    EXPECT_EQ(s.host.replayCycles, a.host.replayCycles);
+    // The manager serializes, seals and copies every checkpoint
+    // itself, on both engines: all of it is critical-path
+    // checkpointSeconds, and the background figure the run report
+    // keeps for its v5 key set stays 0.
+    for (const bool parallel_host : {false, true}) {
+        SimConfig config = measureConfig("falseshare", 2000,
+                                         parallel_host);
+        config.engine.checkpoint.mode = CheckpointMode::Speculative;
+        config.engine.adaptive.initialBound = 64;
+        config.engine.adaptive.targetViolationRate = 0.05;
+        const auto r = runSimulation(config);
+        ASSERT_GT(r.host.checkpointsTaken, 1u) << parallel_host;
+        EXPECT_GT(r.host.rollbacks, 0u) << parallel_host;
+        EXPECT_GT(r.host.checkpointSeconds, 0.0) << parallel_host;
+        EXPECT_EQ(r.host.checkpointAsyncSeconds, 0.0) << parallel_host;
+    }
 }
 
-TEST(Speculative, AsyncSealReportsBackgroundTime)
+namespace {
+
+/** @return this process's OS threads right now (/proc/self/task). */
+std::size_t
+osThreads()
 {
-    // The async run books the seal's busy time as background host
-    // time; the sync run books everything on the critical path and
-    // must report zero background seconds.
-    SimConfig config = measureConfig("falseshare", 1000, false);
-    config.engine.checkpoint.mode = CheckpointMode::Speculative;
-    config.engine.adaptive.initialBound = 32;
-    config.engine.adaptive.targetViolationRate = 0.05;
-
-    SimConfig sync_cfg = config;
-    sync_cfg.engine.checkpoint.asyncSeal = false;
-    const auto s = runSimulation(sync_cfg);
-    ASSERT_GT(s.host.checkpointsTaken, 1u);
-    EXPECT_EQ(s.host.checkpointAsyncSeconds, 0.0);
-    EXPECT_GT(s.host.checkpointSeconds, 0.0);
-
-    const auto a = runSimulation(config);
-    ASSERT_GT(a.host.checkpointsTaken, 1u);
-    EXPECT_GT(a.host.checkpointAsyncSeconds, 0.0);
+    std::size_t n = 0;
+    if (DIR *dir = opendir("/proc/self/task")) {
+        while (const dirent *entry = readdir(dir))
+            n += entry->d_name[0] != '.';
+        closedir(dir);
+    }
+    return n;
 }
 
-TEST(Speculative, AsyncSealWorksOnParallelHost)
+/** What runCountingThreads() saw. */
+struct CountedRun
 {
-    SimConfig config = measureConfig("falseshare", 2000, true);
-    config.engine.checkpoint.mode = CheckpointMode::Speculative;
-    config.engine.checkpoint.asyncSeal = true;
-    config.engine.adaptive.initialBound = 64;
-    config.engine.adaptive.targetViolationRate = 0.05;
-    const Workload w = makeWorkload(config.workload);
-    const auto r = runSimulation(config);
-    EXPECT_GT(r.host.rollbacks, 0u);
-    EXPECT_EQ(r.committedUops, w.totalMicroOps());
-    EXPECT_GT(r.host.checkpointAsyncSeconds, 0.0);
+    RunResult result;
+    std::size_t threads = 0; //!< most OS threads the run occupied
+    std::uint64_t samples = 0; //!< samples taken while it ran
+};
+
+/** Run @p config while a sampler thread polls /proc/self/task. The
+ *  run's manager is the calling thread, so the run occupies one
+ *  thread plus whatever the process gained over its idle count. */
+CountedRun
+runCountingThreads(const SimConfig &config)
+{
+    std::atomic<std::size_t> peak{0};
+    std::atomic<std::uint64_t> samples{0};
+    std::jthread sampler([&](std::stop_token stop) {
+        while (!stop.stop_requested()) {
+            const std::size_t n = osThreads();
+            if (n > peak.load())
+                peak.store(n);
+            samples.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    });
+    while (samples.load() == 0)
+        std::this_thread::yield();
+    const std::size_t idle = peak.load(); // this thread + the sampler
+    const std::uint64_t before = samples.load();
+    CountedRun run;
+    run.result = runSimulation(config);
+    run.samples = samples.load() - before;
+    sampler.request_stop();
+    sampler.join();
+    run.threads = 1 + (peak.load() - idle);
+    return run;
+}
+
+} // namespace
+
+TEST(Checkpointer, RunUsesNoThreadBeyondItsHostThreads)
+{
+    // Checkpoints add no host thread: whatever the engine, a
+    // checkpointed run occupies at most the host_threads_used it
+    // reports.
+    SimConfig inline_spec = measureConfig("falseshare", 1000, true);
+    inline_spec.engine.hostThreads = 1;
+    inline_spec.engine.checkpoint.mode = CheckpointMode::Speculative;
+    inline_spec.engine.adaptive.initialBound = 32;
+    inline_spec.engine.adaptive.targetViolationRate = 0.05;
+
+    SimConfig measure = measureConfig("falseshare", 1000, true);
+    measure.engine.hostThreads = 3;
+
+    SimConfig serial_spec = inline_spec;
+    serial_spec.engine.parallelHost = false;
+    serial_spec.engine.hostThreads = 0;
+
+    for (const SimConfig *config : {&inline_spec, &measure, &serial_spec}) {
+        const CountedRun run = runCountingThreads(*config);
+        const HostStats &host = run.result.host;
+        SCOPED_TRACE(std::string("parallel_host=") +
+                     (config->engine.parallelHost ? "1" : "0") +
+                     " host_threads=" +
+                     std::to_string(config->engine.hostThreads));
+        ASSERT_GT(host.checkpointsTaken, 1u);
+        ASSERT_GE(run.samples, 3u) << "the run ended between samples";
+        EXPECT_LE(run.threads, host.hostThreadsUsed);
+    }
 }
 
 TEST(Speculative, SelectiveRollbackOnMapOnlyRollsBackLess)

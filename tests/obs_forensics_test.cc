@@ -442,3 +442,26 @@ TEST(StallWatchdog, EngineDumpShowsEachHostThreadPhase)
     EXPECT_NE(line.find("phase="), std::string::npos) << dump;
     EXPECT_NE(dump.find("manager phase="), std::string::npos) << dump;
 }
+
+TEST(StallWatchdog, SerialRunDumpReadsOnlyAtomicClocks)
+{
+    // The watchdog thread re-renders its crash dump on every poll
+    // (every 10 ms at watchdogMs 40). On the serial engine that dump
+    // reads only the cores' atomic clocks: a TSan build flags any
+    // plain counter it would read while the manager writes it. The
+    // run lasts a few hundred ms, many polls, and the watchdog must
+    // not perturb it.
+    setQuietLogging(true);
+    SimConfig config =
+        baseConfig("uniform", SchemeKind::Adaptive, /*parallel=*/false);
+    config.workload.iters = 20000;
+    config.workload.footprintBytes = 128 * 1024;
+    config.engine.maxCommittedUops = 200000;
+    const RunResult plain = runSimulation(config);
+    config.engine.obs.watchdogMs = 40;
+    const RunResult watched = runSimulation(config);
+
+    EXPECT_EQ(watched.forensics.stallDumps, 0u);
+    EXPECT_EQ(watched.committedUops, plain.committedUops);
+    EXPECT_EQ(watched.execCycles, plain.execCycles);
+}

@@ -214,6 +214,37 @@ TEST(ServeE2ETest, DaemonResultsBitIdenticalToStandaloneRun)
     EXPECT_EQ(job.at("simulated_cycles").asUint(), solo.execCycles);
 }
 
+TEST(ServeE2ETest, DefaultBudgetAdmitsTheDefaultSpec)
+{
+    // Budget 0 sizes the pool from the host (at least 8 threads). The
+    // default spec (8 cores, bounded, automatic host threads) reserves
+    // exactly what its engine launches here, so it fits that pool on
+    // any host and reports the reservation as host_threads_used.
+    ServerHarness harness("serve_e2e_default", 0);
+    Client client(harness.socket());
+    ASSERT_TRUE(client.valid());
+
+    std::string error;
+    const std::uint64_t id = client.submit(
+        R"({"kernel": "fft", "max_uops": 20000})", &error);
+    ASSERT_NE(id, 0u) << error;
+    ASSERT_TRUE(waitAllTerminal(client));
+
+    json::Value reply;
+    ASSERT_TRUE(client.status(id, &reply, &error)) << error;
+    const json::Value &job = reply.at("jobs").item(0);
+    ASSERT_EQ(job.at("state").asString(), "done");
+    const std::string report =
+        slurp(harness.outRoot() + "/job-" + std::to_string(id) +
+              "/report.json");
+    ASSERT_FALSE(report.empty());
+    const json::Value doc = json::parse(report);
+    EXPECT_EQ(doc.at("result").at("host").at("host_threads_used").asUint(),
+              job.at("host_threads").asUint());
+    EXPECT_LE(job.at("host_threads").asUint(),
+              harness.server().threadBudget());
+}
+
 TEST(ServeE2ETest, CancelMidRunYieldsPartialCancelledReport)
 {
     ServerHarness harness("serve_e2e_cancel", 16);
@@ -313,9 +344,11 @@ TEST(ServeE2ETest, ProtocolRejectsBadInput)
     EXPECT_NE(error.find("did you mean 'fft'"), std::string::npos);
 
     // A job wider than the whole budget can never run: refused at
-    // submit rather than queued forever.
-    EXPECT_EQ(client.submit(R"({"kernel": "fft", "cores": 64})",
-                            &error),
+    // submit rather than queued forever. host_threads is pinned so
+    // the job needs 65 threads on any host.
+    EXPECT_EQ(client.submit(
+                  R"({"kernel": "fft", "cores": 64, "host_threads": 65})",
+                  &error),
               0u);
     EXPECT_NE(error.find("budget"), std::string::npos);
 

@@ -9,12 +9,16 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/run.hh"
 #include "serve/job_queue.hh"
 #include "serve/job_spec.hh"
 #include "util/json_parse.hh"
+#include "util/logging.hh"
 
 using namespace slacksim;
 using namespace slacksim::serve;
@@ -28,6 +32,16 @@ makeSpec(std::uint32_t cores, std::uint32_t priority)
     spec.kernel = "fft";
     spec.cores = cores;
     spec.priority = priority;
+    return spec;
+}
+
+/** makeSpec() with host_threads pinned to cores + 1: one worker per
+ *  core on any host, so admission arithmetic is host-independent. */
+JobSpec
+makePinnedSpec(std::uint32_t cores, std::uint32_t priority)
+{
+    JobSpec spec = makeSpec(cores, priority);
+    spec.hostThreadsOverride = cores + 1;
     return spec;
 }
 
@@ -72,13 +86,14 @@ TEST(JobQueueTest, HigherPriorityJumpsTheLine)
 
 TEST(JobQueueTest, BigJobWaitsWhileTwoSmallJobsRun)
 {
-    // Host-thread budget 66: a 32-core parallel job needs 33 threads
-    // (manager + cores), so two of them exactly fill the budget while
-    // a 64-core job (65 threads) must wait for both to retire.
+    // Host-thread budget 66: a 32-core parallel job pinned to one
+    // worker per core needs 33 threads (manager + cores), so two of
+    // them exactly fill the budget while a 64-core job (65 threads)
+    // must wait for both to retire.
     JobQueue queue;
-    const std::uint64_t small1 = queue.submit(makeSpec(32, 3));
-    const std::uint64_t small2 = queue.submit(makeSpec(32, 3));
-    const std::uint64_t big = queue.submit(makeSpec(64, 3));
+    const std::uint64_t small1 = queue.submit(makePinnedSpec(32, 3));
+    const std::uint64_t small2 = queue.submit(makePinnedSpec(32, 3));
+    const std::uint64_t big = queue.submit(makePinnedSpec(64, 3));
 
     std::uint32_t free_threads = 66;
     Job *j1 = queue.admitNext(free_threads, 1u << 20);
@@ -109,8 +124,8 @@ TEST(JobQueueTest, BigJobWaitsWhileTwoSmallJobsRun)
 TEST(JobQueueTest, SmallJobBackfillsPastBigJob)
 {
     JobQueue queue;
-    queue.submit(makeSpec(64, 3)); // 65 threads, does not fit
-    const std::uint64_t small = queue.submit(makeSpec(8, 3));
+    queue.submit(makePinnedSpec(64, 3)); // 65 threads, does not fit
+    const std::uint64_t small = queue.submit(makePinnedSpec(8, 3));
     Job *job = queue.admitNext(33, 1u << 20);
     ASSERT_NE(job, nullptr);
     EXPECT_EQ(job->id, small);
@@ -207,7 +222,8 @@ TEST(JobSpecTest, ParsesFullSpec)
         R"({"version": "slacksim.job.v1", "name": "big", "kernel": "lu",
             "cores": 16, "scheme": "quantum", "quantum": 32,
             "seed": 7, "max_uops": 1000, "priority": 6,
-            "timeout_ms": 5000, "fault_spec": "io-fail@write:1"})",
+            "host_threads": 17, "timeout_ms": 5000,
+            "fault_spec": "io-fail@write:1"})",
         &spec, &error))
         << error;
     EXPECT_EQ(spec.kernel, "lu");
@@ -234,6 +250,59 @@ TEST(JobSpecTest, CycleByCycleReservesOnlyTheManager)
             &spec, &error))
             << error;
         EXPECT_EQ(spec.hostThreads(), 1u) << extra;
+    }
+}
+
+TEST(JobSpecTest, DefaultSpecWorkersFollowTheHost)
+{
+    // The default spec (8 cores, bounded, automatic host threads)
+    // asks for hardware - 1 workers, at most one per core, and runs
+    // one per equal span of cores: at 8 CPUs, 7 asked make spans of
+    // 2, so 4 run.
+    JobSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseSpec(R"({"kernel": "fft"})", &spec, &error))
+        << error;
+    const SimConfig config = spec.toConfig();
+    const std::pair<unsigned, std::uint32_t> expected[] = {
+        {0, 0}, {1, 0}, {4, 3}, {8, 4}, {9, 8}, {16, 8}};
+    for (const auto &[hardware, workers] : expected)
+        EXPECT_EQ(engineWorkers(config, hardware), workers) << hardware;
+}
+
+TEST(JobSpecTest, HostThreadsMatchWhatTheRunUses)
+{
+    // Admission reserves exactly the threads the run occupies, for
+    // every core count, scheme and host_threads setting a spec may
+    // carry (a serial spec takes no host_threads).
+    setQuietLogging(true);
+    const char *schemes[] = {
+        R"("scheme": "cc")", R"("scheme": "quantum")",
+        R"("scheme": "bounded")",
+        R"("scheme": "adaptive", "checkpoint": "speculative",
+           "checkpoint_interval": 500)"};
+    for (const std::uint32_t cores : {1u, 2u, 4u, 8u}) {
+        std::vector<std::string> hosts = {R"("parallel_host": false)",
+                                          R"("parallel_host": true)"};
+        for (std::uint32_t threads = 1; threads <= cores + 1; ++threads)
+            hosts.push_back(R"("host_threads": )" +
+                            std::to_string(threads));
+        for (const char *scheme : schemes) {
+            for (const std::string &host : hosts) {
+                const std::string text =
+                    R"({"kernel": "uniform", "max_uops": 2000, )"
+                    R"("cores": )" +
+                    std::to_string(cores) + ", " + scheme + ", " + host +
+                    "}";
+                JobSpec spec;
+                std::string error;
+                ASSERT_TRUE(parseSpec(text, &spec, &error))
+                    << error << ": " << text;
+                const RunResult r = runSimulation(spec.toConfig());
+                EXPECT_EQ(spec.hostThreads(), r.host.hostThreadsUsed)
+                    << text;
+            }
+        }
     }
 }
 
