@@ -46,7 +46,9 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget,
         return CycleOutcome::Backpressure;
     foldInert(); // the evaluation replaces inertDelta_
     ++evaluations_;
-    const CoreStats before = stats_;
+    // Only these counters can move without progress; the delta is
+    // needed only if none is made.
+    const InertDelta before = readInert();
     inert_ = false;
     if (step(now) || finished()) {
         // Publish the new local time only after the cycle's messages
@@ -56,7 +58,9 @@ CoreComplex::cycle(Tick max_local, std::uint32_t skip_budget,
         return CycleOutcome::Progress;
     }
     inert_ = true;
-    inertDelta_ = stats_.since(before);
+    inertDelta_ = readInert();
+    for (std::size_t i = 0; i < inertDelta_.size(); ++i)
+        inertDelta_[i] -= before[i];
     return skipInert(now, now + 1, nextWake(), max_local, skip_budget,
                      accounting);
 }

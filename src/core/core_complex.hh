@@ -9,7 +9,10 @@
 #define SLACKSIM_CORE_CORE_COMPLEX_HH
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "cache/l1_cache.hh"
@@ -102,9 +105,9 @@ class CoreComplex : public Snapshotable
      * Idle accounting keeps the OutQ headroom check of the
      * evaluation it replaces and adds the inert cycle's increments
      * once for the current cycle. Exact accounting adds them for
-     * every skipped cycle, lazily: the skipped cycles are pended and
-     * folded into the counters before the next full evaluation or
-     * Idle re-entry and on every stats() or save(). An inert cycle
+     * every skipped cycle. Both add them lazily: the cycles are
+     * pended and folded into the counters before the next full
+     * evaluation and on every stats() or save(). An inert cycle
      * commits nothing, so committedUops() needs no fold.
      */
     CycleOutcome reenterInert(Tick wake, Tick max_local,
@@ -205,12 +208,34 @@ class CoreComplex : public Snapshotable
                            Tick max_local, std::uint32_t skip_budget,
                            StallAccounting accounting);
 
-    /** Add the pended exact-skip cycles' increments to the counters. */
+    /** One inert cycle's increments of the inertCounters. */
+    using InertDelta = std::array<std::uint64_t, std::size(inertCounters)>;
+    using InertIndices =
+        std::make_index_sequence<std::size(inertCounters)>;
+
+    // Both expand over inertCounters at compile time, so each counter
+    // is a fixed offset into stats_; a loop over the array reads the
+    // member offsets from memory on every evaluation.
+
+    /** @return the inertCounters as they stand in stats_. */
+    InertDelta
+    readInert() const
+    {
+        return [this]<std::size_t... I>(std::index_sequence<I...>) {
+            return InertDelta{stats_.*inertCounters[I]...};
+        }(InertIndices{});
+    }
+
+    /** Add the pended inert cycles' increments to the counters. */
     void
     foldInert() const
     {
         if (pendingInert_ != 0) {
-            stats_.addScaled(inertDelta_, pendingInert_);
+            [this]<std::size_t... I>(std::index_sequence<I...>) {
+                ((stats_.*inertCounters[I] +=
+                  inertDelta_[I] * pendingInert_),
+                 ...);
+            }(InertIndices{});
             pendingInert_ = 0;
         }
     }
@@ -222,8 +247,10 @@ class CoreComplex : public Snapshotable
      *  by the next full evaluation and by restore(). Derived state:
      *  never serialized. */
     bool inert_ = false;
-    /** Exact-skipped cycles whose inertDelta_ increments stats_ does
-     *  not hold yet. Only the manager drives Exact accounting. */
+    /** Inert cycles, re-entered or exact-skipped, whose inertDelta_
+     *  increments stats_ does not hold yet. Written by the thread
+     *  that drives the core; stats() and save() fold it while no
+     *  thread drives the core. */
     mutable std::uint64_t pendingInert_ = 0;
     std::uint64_t evaluations_ = 0;
     std::uint64_t inertReentries_ = 0;
@@ -231,7 +258,7 @@ class CoreComplex : public Snapshotable
     /** Mutable for foldInert(): a stats read folds what is pended. */
     mutable CoreStats stats_;
     /** The inert cycle's counter increments (valid while inert_). */
-    CoreStats inertDelta_;
+    InertDelta inertDelta_{};
     L1Cache l1d_;
     L1Cache l1i_;
     OooCore core_;
@@ -260,8 +287,7 @@ CoreComplex::reenterInert(Tick wake, Tick max_local,
     if (!outQ_.hasFreeSpace(outboundHeadroom))
         return CycleOutcome::Backpressure;
     ++inertReentries_;
-    foldInert();
-    stats_.add(inertDelta_);
+    ++pendingInert_;
     return skipInert(now, now + 1, wake, max_local, skip_budget,
                      accounting);
 }

@@ -50,6 +50,7 @@ OooCore::OooCore(const CoreParams &params, CoreId id,
                     "ROB (<= 64) and store-buffer sizes must be powers "
                     "of two");
     SLACKSIM_ASSERT(!trace_->instrs.empty(), "empty trace program");
+    seekTrace();
 }
 
 bool
@@ -57,8 +58,7 @@ OooCore::cycle(Tick now, std::vector<BusMsg> &out)
 {
     if (finished_)
         return false;
-    const std::size_t out0 = out.size();
-    const Fingerprint before = fingerprint();
+    progress_ = false;
     writeback(now);
     commit(now);
     drainStoreBuffer(now, out);
@@ -66,26 +66,7 @@ OooCore::cycle(Tick now, std::vector<BusMsg> &out)
     issue(now, out);
     fetch(now, out);
     updateFinished();
-    return out.size() != out0 || !(fingerprint() == before) ||
-           finished_;
-}
-
-OooCore::Fingerprint
-OooCore::fingerprint() const
-{
-    Fingerprint f;
-    f.headSeq = headSeq_;
-    f.tailSeq = tailSeq_;
-    f.sbHead = sbHead_;
-    f.sbTail = sbTail_;
-    f.traceIndex = traceIndex_;
-    f.issuedCount = issuedCount_;
-    f.doneCount = doneCount_;
-    f.intraOffset = intraOffset_;
-    f.flags = static_cast<std::uint8_t>(
-        fetchWaitingFill_ | (sbWaitingFill_ << 1) | (syncSent_ << 2) |
-        (syncGranted_ << 3) | (finished_ << 4));
-    return f;
+    return progress_;
 }
 
 void
@@ -115,6 +96,7 @@ OooCore::rebuildDerived()
             pushPending(e.doneAt, e.seq);
     }
     codeOffset_ = (pcCursor_ * 4) % trace_->codeFootprint;
+    seekTrace();
 }
 
 void
@@ -129,6 +111,7 @@ OooCore::writeback(Tick now)
                         "stale completion-ring entry");
         e.done = 1;
         ++doneCount_;
+        progress_ = true;
     }
 }
 
@@ -156,6 +139,7 @@ OooCore::commit(Tick)
         }
         ++stats_->committedInstrs;
         ++headSeq_;
+        progress_ = true;
     }
 }
 
@@ -168,9 +152,11 @@ OooCore::drainStoreBuffer(Tick now, std::vector<BusMsg> &out)
     switch (l1d_->accessStore(addr, now, out)) {
       case L1Result::Hit:
         ++sbHead_;
+        progress_ = true;
         break;
       case L1Result::Miss:
         sbWaitingFill_ = 1;
+        progress_ = true;
         break;
       case L1Result::Merged:
       case L1Result::Blocked:
@@ -210,6 +196,7 @@ OooCore::handleHeadSync(Tick now, std::vector<BusMsg> &out)
         msg.seq = nextMsgSeq_++;
         out.push_back(msg);
         syncSent_ = 1;
+        progress_ = true;
         if (e.kind == UopKind::Unlock) {
             // Releases complete without waiting for a response.
             e.done = 1;
@@ -223,6 +210,7 @@ OooCore::handleHeadSync(Tick now, std::vector<BusMsg> &out)
         ++doneCount_;
         syncSent_ = 0;
         syncGranted_ = 0;
+        progress_ = true;
     } else {
         ++stats_->syncStallCycles;
     }
@@ -254,7 +242,6 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
             e.issued = 1;
             e.doneAt = now + params_.aluLatency;
             pushPending(e.doneAt, e.seq);
-            ++issuedCount_;
             ++issued;
             break;
           }
@@ -269,7 +256,6 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
                 e.issued = 1;
                 e.doneAt = now + l1d_->hitLatency();
                 pushPending(e.doneAt, e.seq);
-                ++issuedCount_;
                 ++issued;
                 --load_ports;
                 break;
@@ -279,7 +265,6 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
                 // of the completion ring.
                 e.issued = 1;
                 e.waitingFill = 1;
-                ++issuedCount_;
                 ++issued;
                 --load_ports;
                 break;
@@ -294,7 +279,6 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
             e.issued = 1;
             e.doneAt = now + 1;
             pushPending(e.doneAt, e.seq);
-            ++issuedCount_;
             ++issued;
             break;
           case UopKind::Lock:
@@ -307,11 +291,13 @@ OooCore::issue(Tick now, std::vector<BusMsg> &out)
             // completion ring.
             e.issued = 1;
             e.doneAt = maxTick;
-            ++issuedCount_;
             break;
         }
-        if (e.issued)
+        if (e.issued) {
             unissued_ &= ~(std::uint64_t{1} << index);
+            ++issuedCount_;
+            progress_ = true;
+        }
     }
 }
 
@@ -322,9 +308,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
         ++stats_->fetchStallCycles;
         return;
     }
-    if (traceIndex_ >= trace_->instrs.size())
-        return;
-    if (trace_->instrs[traceIndex_].op() == TraceOp::End)
+    if (!onRecord() || record_->op() == TraceOp::End)
         return;
 
     // One instruction-cache probe per cycle for the current fetch
@@ -336,6 +320,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
       case L1Result::Miss:
       case L1Result::Merged:
         fetchWaitingFill_ = 1;
+        progress_ = true;
         ++stats_->fetchStallCycles;
         return;
       case L1Result::Blocked:
@@ -353,9 +338,9 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
         const Addr cur_pc = codeBase_ + codeOffset_;
         if (l1i_->lineAddr(cur_pc) != line && n > 0)
             return;
-        if (traceIndex_ >= trace_->instrs.size())
+        if (!onRecord())
             return;
-        const TraceInstr instr = trace_->instrs[traceIndex_];
+        const TraceInstr instr = *record_;
         bool advanced = false;
         switch (instr.op()) {
           case TraceOp::End:
@@ -368,7 +353,7 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
             if (advanced) {
                 if (++intraOffset_ >= instr.count()) {
                     intraOffset_ = 0;
-                    ++traceIndex_;
+                    advanceTrace();
                 }
             }
             break;
@@ -377,28 +362,28 @@ OooCore::fetch(Tick now, std::vector<BusMsg> &out)
             advanced = dispatchUop(UopKind::Load, instr.addr(), 0, 0);
             if (advanced) {
                 lastLoadSeq_ = tailSeq_ - 1;
-                ++traceIndex_;
+                advanceTrace();
             }
             break;
           case TraceOp::Store:
             advanced = dispatchUop(UopKind::Store, instr.addr(), 0, 0);
             if (advanced)
-                ++traceIndex_;
+                advanceTrace();
             break;
           case TraceOp::Lock:
             advanced = dispatchUop(UopKind::Lock, 0, syncId(instr), 0);
             if (advanced)
-                ++traceIndex_;
+                advanceTrace();
             break;
           case TraceOp::Unlock:
             advanced = dispatchUop(UopKind::Unlock, 0, syncId(instr), 0);
             if (advanced)
-                ++traceIndex_;
+                advanceTrace();
             break;
           case TraceOp::Barrier:
             advanced = dispatchUop(UopKind::Barrier, 0, syncId(instr), 0);
             if (advanced)
-                ++traceIndex_;
+                advanceTrace();
             break;
         }
         if (!advanced)
@@ -425,6 +410,8 @@ OooCore::dispatchUop(UopKind kind, Addr addr, std::uint16_t sync,
     e.depSeq = dep_seq;
     unissued_ |= std::uint64_t{1} << (tailSeq_ & robMask_);
     ++tailSeq_;
+    // The trace position and intraOffset_ move only after a dispatch.
+    progress_ = true;
     return true;
 }
 
@@ -433,11 +420,11 @@ OooCore::updateFinished()
 {
     if (finished_)
         return;
-    const bool trace_done =
-        traceIndex_ < trace_->instrs.size() &&
-        trace_->instrs[traceIndex_].op() == TraceOp::End;
-    if (trace_done && robEmpty() && sbEmpty())
+    const bool trace_done = onRecord() && record_->op() == TraceOp::End;
+    if (trace_done && robEmpty() && sbEmpty()) {
         finished_ = 1;
+        progress_ = true;
+    }
 }
 
 void

@@ -59,11 +59,14 @@ class OooCore : public Snapshotable
 
     /**
      * Simulate one target cycle at local time @p now.
-     * @return true when any architectural state changed (something
-     * fetched, issued, completed, committed, drained, or a message
-     * was emitted). A false return means the core is *inert*: with no
-     * inbound message it will behave identically every cycle until
-     * earliestSelfWake(), enabling the caller to skip stall cycles.
+     * @return true when any pipeline state changed (something
+     * fetched, issued, completed, committed, drained, a request was
+     * sent, or the core finished); every emitted message comes with
+     * such a change. A false return means the core is *inert*: it
+     * emitted nothing, and with no inbound message it will behave
+     * identically every cycle until earliestSelfWake(), enabling the
+     * caller to skip stall cycles. Of its counters, only those in
+     * inertCounters (stats/stats.hh) move in an inert cycle.
      */
     bool cycle(Tick now, std::vector<BusMsg> &out);
 
@@ -136,21 +139,6 @@ class OooCore : public Snapshotable
         Addr addr = 0;
     };
 
-    /** Compact digest of all progress-relevant state. */
-    struct Fingerprint
-    {
-        SeqNum headSeq, tailSeq;
-        std::uint64_t sbHead, sbTail, traceIndex;
-        std::uint64_t issuedCount, doneCount;
-        std::uint32_t intraOffset;
-        std::uint8_t flags;
-
-        bool
-        operator==(const Fingerprint &o) const = default;
-    };
-
-    Fingerprint fingerprint() const;
-
     RobEntry &slot(SeqNum seq) { return rob_[seq & robMask_]; }
     const RobEntry &
     slot(SeqNum seq) const
@@ -174,6 +162,27 @@ class OooCore : public Snapshotable
     bool dispatchUop(UopKind kind, Addr addr, std::uint16_t sync,
                      SeqNum dep_seq);
     void updateFinished();
+
+    /** Point the trace cursor at record traceIndex_. */
+    void
+    seekTrace()
+    {
+        const auto run = trace_->instrs.run(traceIndex_);
+        record_ = run.data();
+        runEnd_ = record_ + run.size();
+    }
+
+    /** Step traceIndex_ and the cursor to the next record. */
+    void
+    advanceTrace()
+    {
+        ++traceIndex_;
+        if (++record_ == runEnd_)
+            seekTrace();
+    }
+
+    /** @return true while the cursor is on a record. */
+    bool onRecord() const { return record_ != runEnd_; }
 
     CoreParams params_;
     CoreId id_;
@@ -221,6 +230,15 @@ class OooCore : public Snapshotable
     std::uint8_t sbWaitingFill_ = 0;
 
     std::uint64_t traceIndex_ = 0;
+    /**
+     * Trace cursor: record_ is record traceIndex_, inside the run of
+     * its chunk that ends at runEnd_ (ChunkedTrace::run). fetch()
+     * walks it with a pointer instead of the two-level chunk index,
+     * and record_ == runEnd_ past the last record. Derived state: set
+     * by the constructor, rebuilt on restore.
+     */
+    const TraceInstr *record_ = nullptr;
+    const TraceInstr *runEnd_ = nullptr;
     std::uint32_t intraOffset_ = 0;
     std::uint64_t pcCursor_ = 0;
     /** (pcCursor_ * 4) % codeFootprint, kept incrementally. Derived
@@ -236,6 +254,16 @@ class OooCore : public Snapshotable
     SeqNum nextMsgSeq_ = 0;
     std::uint64_t issuedCount_ = 0; //!< monotone issue transitions
     std::uint64_t doneCount_ = 0;   //!< monotone completion transitions
+
+    /**
+     * cycle()'s verdict. Cleared as a cycle starts; each stage sets it
+     * where it changes pipeline state: the ROB and store-buffer
+     * bounds, the trace position, the issue and completion counts,
+     * the two wait-fill flags, the sync handshake and finished_.
+     * Every other serialized field changes only together with one of
+     * these. Host-side: never serialized.
+     */
+    bool progress_ = false;
 };
 
 } // namespace slacksim

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "util/logging.hh"
+
 namespace slacksim {
 namespace obs {
 
@@ -43,27 +45,35 @@ ViolationLedger::record(ViolationKind kind, Addr line, CoreId requester,
     }
 
     const Addr bucket = line >> bucketShift;
-    auto it = buckets_.find(bucket);
-    if (it == buckets_.end()) {
+    BucketCounts *counts = buckets_.find(bucket);
+    if (!counts) {
         if (buckets_.size() >= maxTrackedBuckets) {
             ++untracked_;
             return;
         }
-        it = buckets_.emplace(bucket, Offender{bucket, 0, 0}).first;
+        counts = &buckets_[bucket];
     }
     if (kind == ViolationKind::Bus)
-        ++it->second.bus;
+        ++counts->bus;
     else
-        ++it->second.map;
+        ++counts->map;
+}
+
+std::vector<ViolationLedger::Offender>
+ViolationLedger::offenders() const
+{
+    std::vector<Offender> all;
+    all.reserve(buckets_.size());
+    buckets_.forEach([&all](Addr bucket, const BucketCounts &counts) {
+        all.push_back(Offender{bucket, counts.bus, counts.map});
+    });
+    return all;
 }
 
 std::vector<ViolationLedger::Offender>
 ViolationLedger::topOffenders(std::size_t k) const
 {
-    std::vector<Offender> all;
-    all.reserve(buckets_.size());
-    for (const auto &[bucket, off] : buckets_)
-        all.push_back(off);
+    std::vector<Offender> all = offenders();
     std::sort(all.begin(), all.end(),
               [](const Offender &a, const Offender &b) {
                   if (a.total() != b.total())
@@ -111,14 +121,14 @@ ViolationLedger::save(SnapshotWriter &writer) const
     writer.putVector(mapPair_);
     // Sorted bucket order keeps snapshot bytes deterministic (the
     // fork-checkpoint determinism check hashes them).
-    std::vector<Addr> keys;
-    keys.reserve(buckets_.size());
-    for (const auto &[bucket, off] : buckets_)
-        keys.push_back(bucket);
-    std::sort(keys.begin(), keys.end());
-    writer.put<std::uint64_t>(keys.size());
-    for (const Addr key : keys)
-        writer.put(buckets_.at(key));
+    std::vector<Offender> all = offenders();
+    std::sort(all.begin(), all.end(),
+              [](const Offender &a, const Offender &b) {
+                  return a.bucket < b.bucket;
+              });
+    writer.put<std::uint64_t>(all.size());
+    for (const Offender &off : all)
+        writer.put(off);
 }
 
 void
@@ -135,10 +145,12 @@ ViolationLedger::restore(SnapshotReader &reader)
     mapPair_ = reader.getVector<std::uint64_t>();
     buckets_.clear();
     const auto n = reader.get<std::uint64_t>();
+    SLACKSIM_ASSERT(n <= maxTrackedBuckets, "ledger snapshot holds ", n,
+                    " buckets, past the tracking cap");
     buckets_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
         const auto off = reader.get<Offender>();
-        buckets_.emplace(off.bucket, off);
+        buckets_[off.bucket] = {off.bus, off.map};
     }
 }
 

@@ -24,11 +24,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/recorder.hh"
 #include "obs/span.hh"
+#include "util/flat_table.hh"
 #include "util/histogram.hh"
 #include "util/snapshot.hh"
 #include "util/types.hh"
@@ -119,6 +119,16 @@ class ViolationLedger
     void restore(SnapshotReader &reader);
 
   private:
+    /** One tracked bucket's counts; its address is the table key. */
+    struct BucketCounts
+    {
+        std::uint64_t bus = 0;
+        std::uint64_t map = 0;
+    };
+
+    /** @return every tracked bucket, in no particular order. */
+    std::vector<Offender> offenders() const;
+
     /** Flat index into the pair matrices. */
     std::size_t
     pairIndex(CoreId requester, CoreId prior) const
@@ -139,7 +149,8 @@ class ViolationLedger
     Log2Histogram mapSlack_;
     std::vector<std::uint64_t> busPair_; //!< (numCores_+1) x numCores_
     std::vector<std::uint64_t> mapPair_;
-    std::unordered_map<Addr, Offender> buckets_;
+    /** At most maxTrackedBuckets buckets, keyed by bucket address. */
+    FlatTable<BucketCounts> buckets_;
 };
 
 /** Outcome of one adaptive-epoch evaluation. */

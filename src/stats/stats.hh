@@ -47,25 +47,10 @@ struct CoreStats
     std::uint64_t snoopDowngrades = 0;
 
     /** Fold another record into this one. */
-    void add(const CoreStats &o) { addScaled(o, 1); }
-
-    /** Fold @p times copies of @p o into this record: an exact idle
-     *  skip adds one inert cycle's increments once per skipped cycle. */
     void
-    addScaled(const CoreStats &o, std::uint64_t times)
+    add(const CoreStats &o)
     {
-        zip(o, [times](std::uint64_t &a, std::uint64_t b) {
-            a += b * times;
-        });
-    }
-
-    /** @return the increments from @p earlier to this record. */
-    CoreStats
-    since(const CoreStats &earlier) const
-    {
-        CoreStats d = *this;
-        d.zip(earlier, [](std::uint64_t &a, std::uint64_t b) { a -= b; });
-        return d;
+        zip(o, [](std::uint64_t &a, std::uint64_t b) { a += b; });
     }
 
     bool operator==(const CoreStats &) const = default;
@@ -100,6 +85,21 @@ struct CoreStats
 
 static_assert(sizeof(CoreStats) == 19 * sizeof(std::uint64_t),
               "CoreStats::zip must visit every counter");
+
+/**
+ * The counters a cycle that changes no pipeline state (an inert
+ * cycle, OooCore::cycle) can still move: the four stall counters, the
+ * instruction fetch that hits while the ROB is full, and a load or
+ * store turned away by a full MSHR file (a blocked store also counts
+ * its miss or upgrade). Every other counter moves only with progress:
+ * a commit, a completion, an emitted request or an inbound message.
+ */
+inline constexpr std::uint64_t CoreStats::*inertCounters[] = {
+    &CoreStats::fetchStallCycles, &CoreStats::robFullCycles,
+    &CoreStats::sbFullCycles,     &CoreStats::syncStallCycles,
+    &CoreStats::l1iHits,          &CoreStats::l1dMshrFullEvents,
+    &CoreStats::l1dMisses,        &CoreStats::l1dUpgrades,
+};
 
 /** Manager-side bus / L2 / sync statistics. */
 struct UncoreStats

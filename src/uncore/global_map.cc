@@ -33,10 +33,8 @@ GlobalCacheMap::findPage(std::uint64_t number)
 {
     if (number == lastNumber_)
         return lastPage_;
-    const auto it =
-        std::lower_bound(pages_.begin(), pages_.end(), number, byNumber);
-    return it != pages_.end() && it->first == number ? it->second.get()
-                                                     : nullptr;
+    Page *const *p = index_.find(number);
+    return p ? *p : nullptr;
 }
 
 const GlobalCacheMap::Page *
@@ -50,13 +48,16 @@ GlobalCacheMap::page(std::uint64_t number)
 {
     if (number == lastNumber_)
         return *lastPage_;
-    auto it =
-        std::lower_bound(pages_.begin(), pages_.end(), number, byNumber);
-    if (it == pages_.end() || it->first != number)
-        it = pages_.emplace(it, number, std::make_unique<Page>());
+    Page *&p = index_[number];
+    if (!p) {
+        const auto it = std::lower_bound(pages_.begin(), pages_.end(),
+                                         number, byNumber);
+        p = pages_.emplace(it, number, std::make_unique<Page>())
+                ->second.get();
+    }
     lastNumber_ = number;
-    lastPage_ = it->second.get();
-    return *lastPage_;
+    lastPage_ = p;
+    return *p;
 }
 
 MapEntry &

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/flat_table.hh"
 #include "util/snapshot.hh"
 #include "util/types.hh"
 
@@ -39,13 +40,13 @@ struct MapEntry
 };
 
 /**
- * The global cache status map. Lines live in address-ordered pages of
- * 256 consecutive lines, found by page number through a one-entry
- * last-page cache and, on a miss, a binary search. An entry never
+ * The global cache status map. Lines live in pages of 256 consecutive
+ * lines, found by page number through a one-entry last-page cache
+ * and, on a miss, an open-addressed page-number index. An entry never
  * moves once created, so a MapEntry & stays valid while other lines
- * are inserted. save() walks the pages in address order, so identical
- * logical states always produce identical snapshot bytes. Only the
- * manager thread touches the map.
+ * are inserted. The pages are also kept in address order, which
+ * save() walks, so identical logical states always produce identical
+ * snapshot bytes. Only the manager thread touches the map.
  */
 class GlobalCacheMap : public Snapshotable
 {
@@ -153,6 +154,8 @@ class GlobalCacheMap : public Snapshotable
     std::uint32_t lineShift_;
     /** Sorted by page number; a Page never moves once allocated. */
     std::vector<std::pair<std::uint64_t, std::unique_ptr<Page>>> pages_;
+    /** Page number to page, for every page in pages_. */
+    FlatTable<Page *> index_;
     /** The last page entry() touched; no page has number ~0. */
     std::uint64_t lastNumber_ = ~std::uint64_t{0};
     Page *lastPage_ = nullptr;

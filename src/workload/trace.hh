@@ -15,6 +15,7 @@
 #ifndef SLACKSIM_WORKLOAD_TRACE_HH
 #define SLACKSIM_WORKLOAD_TRACE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -147,6 +148,21 @@ class ChunkedTrace
     operator[](std::size_t i)
     {
         return chunks_[i >> chunkShift][i & chunkMask];
+    }
+
+    /**
+     * @return the records from @p i to the end of its chunk, or to the
+     * end of the trace when that comes first: a run a reader can walk
+     * with a plain pointer. Empty when @p i is past the last record,
+     * so a trace of whole chunks is never indexed past its last chunk.
+     */
+    std::span<const TraceInstr>
+    run(std::size_t i) const
+    {
+        if (i >= size_)
+            return {};
+        const std::size_t end = std::min((i | chunkMask) + 1, size_);
+        return {&chunks_[i >> chunkShift][i & chunkMask], end - i};
     }
 
     const TraceInstr &back() const { return (*this)[size_ - 1]; }

@@ -7,7 +7,9 @@
  * free-running with nothing to do. Under exact accounting a skip must
  * leave the same clock and counters as stepping every cycle; under
  * either accounting, re-entering a core known to be inert in O(1)
- * must leave what a full evaluation of every visit leaves.
+ * must leave what a full evaluation of every visit leaves. A cycle the
+ * core calls inert must emit nothing, leave the core as it was and
+ * move only the counters in inertCounters.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 
 #include "cache/mesi.hh"
 #include "core/core_complex.hh"
+#include "workload/kernels.hh"
 #include "workload/trace.hh"
 
 using namespace slacksim;
@@ -475,3 +478,113 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return std::string();
     });
+
+namespace {
+
+/** @return @p core's save() bytes without its trailing CoreStats. */
+std::vector<std::uint8_t>
+coreState(const OooCore &core)
+{
+    SnapshotWriter w;
+    core.save(w);
+    std::vector<std::uint8_t> bytes = w.bytes();
+    bytes.resize(bytes.size() - sizeof(CoreStats));
+    return bytes;
+}
+
+/** @return @p stats with the counters in inertCounters zeroed. */
+CoreStats
+progressCounters(CoreStats stats)
+{
+    for (std::uint64_t CoreStats::*counter : inertCounters)
+        stats.*counter = 0;
+    return stats;
+}
+
+/**
+ * Step @p prog's core one cycle at a time, applying its InQ as
+ * CoreComplex does and answering its requests with answerRequests().
+ * Every cycle that OooCore::cycle() reports as no progress must emit
+ * no message, leave the core's own state as it was and move no
+ * counter outside inertCounters: the verdict and the inert delta the
+ * O(1) re-entries build on. @return the inert cycles seen.
+ */
+std::size_t
+expectInertCyclesChangeNothing(const TraceProgram &prog)
+{
+    CoreComplex cc(oneCoreConfig(), 0, &prog, 0x10000);
+    OooCore &core = cc.core();
+    std::vector<BusMsg> out;
+    std::size_t inert = 0;
+    std::size_t progressed = 0;
+    for (Tick now = 0; !core.finished() && now < 1000000; ++now) {
+        for (std::uint32_t applied = 0;
+             applied < CoreComplex::inboundPerCycle; ++applied) {
+            const BusMsg *head = cc.inQ().front();
+            if (!head || head->ts > now)
+                break;
+            core.handleInbound(*head, now, out);
+            cc.inQ().popFront();
+        }
+        const std::vector<std::uint8_t> before = coreState(core);
+        const CoreStats counted = progressCounters(cc.stats());
+        const std::size_t emitted = out.size();
+        if (core.cycle(now, out)) {
+            ++progressed;
+        } else {
+            ++inert;
+            if (out.size() != emitted) {
+                ADD_FAILURE() << "inert cycle " << now
+                              << " emitted a message";
+                break;
+            }
+            if (coreState(core) != before) {
+                ADD_FAILURE() << "inert cycle " << now
+                              << " changed the core's state";
+                break;
+            }
+            if (!(progressCounters(cc.stats()) == counted)) {
+                ADD_FAILURE() << "inert cycle " << now
+                              << " moved a counter outside inertCounters";
+                break;
+            }
+        }
+        for (const BusMsg &msg : out)
+            EXPECT_TRUE(cc.outQ().push(msg));
+        out.clear();
+        answerRequests(cc);
+    }
+    EXPECT_TRUE(core.finished());
+    EXPECT_GT(progressed, 0u);
+    return inert;
+}
+
+} // namespace
+
+TEST(CoreProgress, InertCyclesChangeNothingOnStallingTrace)
+{
+    EXPECT_GT(expectInertCyclesChangeNothing(stallingTrace()), 100u);
+}
+
+TEST(CoreProgress, FinishingIsProgress)
+{
+    // The last store drains when its fill lands (OooCore::
+    // handleInbound), so the cycle that then finds the core finished
+    // changes nothing else.
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    b.store(0x200000);
+    b.end();
+    EXPECT_GT(expectInertCyclesChangeNothing(prog), 0u);
+}
+
+TEST(CoreProgress, InertCyclesChangeNothingOnGoldenFftThread)
+{
+    // The golden fft input (golden_test), thread 0 run alone: every
+    // request is answered, so its barriers release without peers.
+    WorkloadParams params;
+    params.kernel = "fft";
+    params.fftPoints = 1024;
+    const Workload workload = makeWorkload(params);
+    EXPECT_GT(expectInertCyclesChangeNothing(workload.threads[0]), 100u);
+}

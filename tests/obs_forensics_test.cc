@@ -53,13 +53,10 @@ pairSums(const ViolationLedger &ledger)
     return {bus, map};
 }
 
-/** Every invariant the ledger promises against the run's counters. */
+/** Every invariant among the ledger's own tables. */
 void
-expectLedgerConsistent(const RunResult &r)
+expectLedgerSumsHold(const ViolationLedger &ledger)
 {
-    const ViolationLedger &ledger = r.forensics.ledger;
-    EXPECT_EQ(ledger.busTotal(), r.violations.busViolations);
-    EXPECT_EQ(ledger.mapTotal(), r.violations.mapViolations);
     const auto [bus, map] = pairSums(ledger);
     EXPECT_EQ(bus, ledger.busTotal());
     EXPECT_EQ(map, ledger.mapTotal());
@@ -69,6 +66,16 @@ expectLedgerConsistent(const RunResult &r)
     for (const auto &o : ledger.topOffenders(~std::size_t(0)))
         bucketed += o.total();
     EXPECT_EQ(bucketed, ledger.total());
+}
+
+/** Every invariant the ledger promises against the run's counters. */
+void
+expectLedgerConsistent(const RunResult &r)
+{
+    const ViolationLedger &ledger = r.forensics.ledger;
+    EXPECT_EQ(ledger.busTotal(), r.violations.busViolations);
+    EXPECT_EQ(ledger.mapTotal(), r.violations.mapViolations);
+    expectLedgerSumsHold(ledger);
 }
 
 } // namespace
@@ -168,6 +175,47 @@ TEST(ViolationLedger, SaveRestoreRewindsEverything)
     // checks in the engine tests meaningful).
     SnapshotWriter again;
     ledger.save(again);
+    EXPECT_EQ(again.bytes(), bytes);
+}
+
+TEST(ViolationLedger, TracksBucketsUpToTheCapAndCountsTheRest)
+{
+    // The first maxTrackedBuckets distinct buckets are tracked; a
+    // violation in any later new bucket counts as untracked.
+    constexpr std::uint64_t extra = 7;
+    constexpr std::uint64_t cap = ViolationLedger::maxTrackedBuckets;
+    ViolationLedger ledger;
+    ledger.reset(4);
+    for (std::uint64_t b = 0; b < cap + extra; ++b) {
+        ledger.record(b % 2 ? ViolationKind::Map : ViolationKind::Bus,
+                      b << ViolationLedger::bucketShift,
+                      static_cast<CoreId>(b % 4),
+                      static_cast<CoreId>((b + 1) % 4), b % 100);
+    }
+    // A tracked bucket keeps counting past the cap.
+    ledger.record(ViolationKind::Bus, 5 << ViolationLedger::bucketShift,
+                  0, 1, 3);
+    EXPECT_EQ(ledger.untrackedBuckets(), extra);
+    EXPECT_EQ(ledger.total(), cap + extra + 1);
+    const auto all = ledger.topOffenders(~std::size_t(0));
+    ASSERT_EQ(all.size(), cap);
+    EXPECT_EQ(all[0].bucket, 5u);
+    EXPECT_EQ(all[0].total(), 2u);
+    EXPECT_EQ(all.back().bucket, cap - 1);
+    expectLedgerSumsHold(ledger);
+
+    // Save, restore into a fresh ledger, save again: the same bytes.
+    SnapshotWriter writer;
+    ledger.save(writer);
+    const auto bytes = writer.release();
+    ViolationLedger restored;
+    SnapshotReader reader(bytes);
+    restored.restore(reader);
+    EXPECT_TRUE(reader.exhausted());
+    EXPECT_EQ(restored.untrackedBuckets(), extra);
+    expectLedgerSumsHold(restored);
+    SnapshotWriter again;
+    restored.save(again);
     EXPECT_EQ(again.bytes(), bytes);
 }
 

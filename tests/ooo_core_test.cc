@@ -347,6 +347,29 @@ TEST(OooCore, SnapshotRoundTripReproducesExecution)
     EXPECT_EQ(trace_a, trace_b);
 }
 
+TEST(OooCore, TraceOfWholeChunksRunsToItsEnd)
+{
+    // Two full trace chunks, End last: fetch crosses one chunk
+    // boundary and stops on the last record of the last chunk.
+    constexpr std::size_t records = 2 * ChunkedTrace::chunkRecords;
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    for (std::size_t i = 0; i + 1 < records; ++i) {
+        if (i % 2 == 0)
+            b.load(0x100000 + static_cast<Addr>(i % 64) * 64);
+        else
+            b.compute(1);
+    }
+    b.end();
+    ASSERT_EQ(prog.instrs.size(), records);
+
+    const SimConfig config = oneCoreConfig();
+    CoreComplex cc(config, 0, &prog, 0x10000);
+    MiniManager mgr(cc);
+    runToCompletion(cc, mgr, 10 * records);
+    EXPECT_EQ(cc.committedUops(), prog.totalMicroOps());
+}
+
 TEST(OooCore, RobOccupancyBounded)
 {
     TraceProgram prog;

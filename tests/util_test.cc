@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util layer: RNG, SPSC queue (capacity, wrap-around
- * and slot residency), snapshots, JSON escaping, encoding and number
+ * and slot residency), the open-addressed table, snapshots, JSON
+ * escaping, encoding and number
  * conversion, options parsing and table formatting.
  */
 
@@ -18,6 +19,7 @@
 
 #include "stats/table.hh"
 #include "uncore/msg.hh"
+#include "util/flat_table.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
 #include "util/options.hh"
@@ -299,6 +301,46 @@ TEST(SpscQueue, TwoThreadStress)
     }
     producer.join();
     EXPECT_TRUE(q.empty());
+}
+
+TEST(FlatTable, FindsEveryKeyAcrossGrowthAndClear)
+{
+    FlatTable<std::uint64_t> table;
+    EXPECT_EQ(table.find(0), nullptr);
+    // Keys 0, 2^32, 2 * 2^32, ... share their low bits, and so would
+    // share a slot under a low-bit hash.
+    constexpr std::uint64_t n = 1000;
+    for (std::uint64_t i = 0; i < n; ++i)
+        table[i << 32] = i + 1;
+    EXPECT_EQ(table.size(), n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t *v = table.find(i << 32);
+        ASSERT_NE(v, nullptr) << i;
+        EXPECT_EQ(*v, i + 1);
+    }
+    EXPECT_EQ(table.find(1), nullptr);
+    EXPECT_EQ(table.find(n << 32), nullptr);
+
+    // operator[] on a present key returns its value, not a new one.
+    table[7ull << 32] += 100;
+    EXPECT_EQ(*table.find(7ull << 32), 108u);
+    EXPECT_EQ(table.size(), n);
+
+    std::uint64_t visited = 0;
+    std::uint64_t sum = 0;
+    table.forEach([&](std::uint64_t key, std::uint64_t value) {
+        ++visited;
+        sum += value - (key >> 32);
+    });
+    EXPECT_EQ(visited, n);
+    EXPECT_EQ(sum, n + 100);
+
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.find(0), nullptr);
+    table[5] = 9;
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(*table.find(5), 9u);
 }
 
 TEST(Snapshot, ScalarAndVectorRoundTrip)

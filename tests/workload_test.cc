@@ -223,6 +223,29 @@ TEST(TraceStorage, ComputeCoalescesIntoPreviousChunk)
     EXPECT_EQ(prog.instrs.back().op(), TraceOp::End);
 }
 
+TEST(TraceStorage, RunsEndAtTheirChunkAndNeverPastTheTrace)
+{
+    constexpr std::size_t n = ChunkedTrace::chunkRecords;
+    TraceProgram prog;
+    TraceBuilder b(prog);
+    for (std::size_t i = 0; i < 2 * n; ++i)
+        b.store(8 * i);
+    ASSERT_EQ(prog.instrs.size(), 2 * n);
+    EXPECT_EQ(prog.instrs.run(0).size(), n);
+    EXPECT_EQ(prog.instrs.run(n - 1).size(), 1u);
+    EXPECT_EQ(prog.instrs.run(n).size(), n);
+    EXPECT_EQ(prog.instrs.run(n + 3).data(), &prog.instrs[n + 3]);
+    EXPECT_EQ(prog.instrs.run(2 * n - 1).size(), 1u);
+    // A trace of whole chunks: the index past its end is a chunk
+    // that does not exist, and its run is empty.
+    EXPECT_TRUE(prog.instrs.run(2 * n).empty());
+    b.store(0x40);
+    EXPECT_EQ(prog.instrs.run(2 * n).size(), 1u);
+    EXPECT_EQ(prog.instrs.run(2 * n).data(), &prog.instrs[2 * n]);
+    EXPECT_TRUE(prog.instrs.run(2 * n + 1).empty());
+    EXPECT_TRUE(ChunkedTrace().run(0).empty());
+}
+
 TEST(TraceStorage, CopiesAreDeepAndMovesEmpty)
 {
     TraceProgram prog;
